@@ -38,7 +38,7 @@ from .reliability import (acmmd_rel_test, default_inner_samples,
 from .kernels import KernelSpec
 from .sweep import (run_group_sweep, run_toy_sweep, summarize_sweep,
                     write_sweep_csv)
-from .testing import acmmd_test, test_from_h
+from .testing import acmmd_test
 from .toy import (TOY_ALPHABET, acmmd_rel_sq_exact, acmmd_sq_exact,
                   generate_reliability_records, generate_triplets,
                   mmd_sq_models_exact)
@@ -82,6 +82,35 @@ def _group_pairs(records, group_by):
             for label in labels]
 
 
+def _run_per_group(records, group_by, seed, run) -> dict:
+    """Report body of `run(members, seed) -> dict` over all records or per group.
+
+    Ungrouped, the body is the run over every record with `seed`. Grouped,
+    it is {"groups": [...]} with one entry per label, and group gi runs
+    with derive(seed, SK_GROUP, gi, 0, 1). Runs that draw no random
+    numbers pass seed None.
+    """
+    pairs = _group_pairs(records, group_by)
+    if pairs is None:
+        return run(records, seed)
+    entries = []
+    for gi, (label, members) in enumerate(pairs):
+        entry = run(members, None if seed is None
+                    else derive(seed, SK_GROUP, gi, 0, 1))
+        entry["group"] = label
+        entries.append(entry)
+    return {"groups": entries}
+
+
+def _estimate_entry(h, **fields) -> dict:
+    """Statistic, size and output kernel of an h matrix, plus `fields`."""
+    entry = {"n": h.n, "statistic": acmmd_sq(h),
+             "kernel_y": h.ky.to_string(), **fields}
+    if h.n >= 3:
+        entry["sigma_h_sq"] = sigma_h_sq(h)
+    return entry
+
+
 def _trim_model_samples(records, inner_samples: int | None):
     """Restrict each record to its first `inner_samples` model samples."""
     if inner_samples is None:
@@ -119,31 +148,13 @@ def estimate(input_path, kernel_x, kernel_y, group_by, out_path, config_path):
     kx = config_kernel(cfg, "kernel_x")
     ky = config_kernel(cfg, "kernel_y")
     records, _ = load_triplets(input_path)
-    report: dict = {"command": "estimate", "input": str(input_path)}
-    pairs = _group_pairs(records, cfg["group_by"])
-    if pairs is None:
-        pairs = [(None, records)]
-        grouped = False
-    else:
-        grouped = True
-    entries = []
-    for label, members in pairs:
+
+    def run(members, _seed):
         h = h_matrix(members, kx, ky)
-        entry = {
-            "n": h.n,
-            "statistic": acmmd_sq(h),
-            "kernel_x": h.kx.to_string(),
-            "kernel_y": h.ky.to_string(),
-        }
-        if h.n >= 3:
-            entry["sigma_h_sq"] = sigma_h_sq(h)
-        if label is not None:
-            entry["group"] = label
-        entries.append(entry)
-    if grouped:
-        report["groups"] = entries
-    else:
-        report.update(entries[0])
+        return _estimate_entry(h, kernel_x=h.kx.to_string())
+
+    report: dict = {"command": "estimate", "input": str(input_path)}
+    report.update(_run_per_group(records, cfg["group_by"], None, run))
     _emit(report, out_path)
 
 
@@ -174,20 +185,10 @@ def test(input_path, kernel_x, kernel_y, alpha, bootstrap, seed, group_by,
     records, _ = load_triplets(input_path)
     report: dict = {"command": "test", "input": str(input_path),
                     "seed": seed_v}
-    pairs = _group_pairs(records, cfg["group_by"])
-    if pairs is None:
-        one = acmmd_test(records, kx, ky, alpha=alpha_v, b_count=b_count,
-                         seed=seed_v)
-        report.update(one.to_dict())
-    else:
-        entries = []
-        for gi, (label, members) in enumerate(pairs):
-            h = h_matrix(members, kx, ky)
-            one = test_from_h(h, alpha_v, b_count,
-                              derive(seed_v, SK_GROUP, gi, 0, 1),
-                              extra={"group": label})
-            entries.append(one.to_dict())
-        report["groups"] = entries
+    report.update(_run_per_group(
+        records, cfg["group_by"], seed_v,
+        lambda members, s: acmmd_test(members, kx, ky, alpha=alpha_v,
+                                      b_count=b_count, seed=s).to_dict()))
     _emit(report, out_path)
 
 
@@ -218,33 +219,15 @@ def rel_estimate(input_path, kernel_y, sigma_p, inner_samples, group_by,
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
     records, _ = load_reliability_records(input_path)
     records = _trim_model_samples(records, trim)
-    report: dict = {"command": "rel-estimate", "input": str(input_path)}
-    pairs = _group_pairs(records, cfg["group_by"])
-    if pairs is None:
-        pairs = [(None, records)]
-        grouped = False
-    else:
-        grouped = True
-    entries = []
-    for label, members in pairs:
+
+    def run(members, _seed):
         kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
         h = rel_h_matrix(members, kp, ky)
-        entry = {
-            "n": h.n,
-            "statistic": acmmd_sq(h),
-            "kernel_y": h.ky.to_string(),
-            "sigma_p": h.kx.sigma_resolved,
-            "inner_samples": inner_samples_summary(members),
-        }
-        if h.n >= 3:
-            entry["sigma_h_sq"] = sigma_h_sq(h)
-        if label is not None:
-            entry["group"] = label
-        entries.append(entry)
-    if grouped:
-        report["groups"] = entries
-    else:
-        report.update(entries[0])
+        return _estimate_entry(h, sigma_p=h.kx.sigma_resolved,
+                               inner_samples=inner_samples_summary(members))
+
+    report: dict = {"command": "rel-estimate", "input": str(input_path)}
+    report.update(_run_per_group(records, cfg["group_by"], None, run))
     _emit(report, out_path)
 
 
@@ -281,24 +264,11 @@ def rel_test(input_path, kernel_y, sigma_p, inner_samples, alpha, bootstrap,
     records = _trim_model_samples(records, trim)
     report: dict = {"command": "rel-test", "input": str(input_path),
                     "seed": seed_v}
-    pairs = _group_pairs(records, cfg["group_by"])
-    if pairs is None:
-        one = acmmd_rel_test(records, ky, sigma=sigma, alpha=alpha_v,
-                             b_count=b_count, seed=seed_v)
-        report.update(one.to_dict())
-    else:
-        entries = []
-        for gi, (label, members) in enumerate(pairs):
-            kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
-            h = rel_h_matrix(members, kp, ky)
-            one = test_from_h(h, alpha_v, b_count,
-                              derive(seed_v, SK_GROUP, gi, 0, 1),
-                              extra={"group": label,
-                                     "sigma_p": h.kx.sigma_resolved,
-                                     "inner_samples":
-                                         inner_samples_summary(members)})
-            entries.append(one.to_dict())
-        report["groups"] = entries
+    report.update(_run_per_group(
+        records, cfg["group_by"], seed_v,
+        lambda members, s: acmmd_rel_test(
+            members, ky, sigma=sigma, alpha=alpha_v, b_count=b_count,
+            seed=s).to_dict()))
     _emit(report, out_path)
 
 

@@ -57,31 +57,26 @@ def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
         ValueError: fewer than 2 records.
     """
     triplets = list(triplets)
-    n = len(triplets)
-    if n < 2:
+    if len(triplets) < 2:
         raise ValueError("need at least 2 records")
     xs = [t.x for t in triplets]
-    ys = [t.y for t in triplets]
-    yms = [t.y_model for t in triplets]
-
+    outputs = [t.y_model for t in triplets] + [t.y for t in triplets]
     kx = resolve_spec(kx, xs)
-    ky = resolve_spec(ky, yms + ys)
+    ky = resolve_spec(ky, outputs)
+    return h_matrix_from_grams(gram(kx, xs), gram(ky, outputs), kx, ky)
 
-    kx_gram = gram(kx, xs)
-    # One joint Gram over [model outputs; data outputs] yields all four
-    # blocks of g at once.
-    joint = gram(ky, yms + ys)
+
+def h_matrix_from_grams(kx_gram: np.ndarray, joint: np.ndarray,
+                        kx: KernelSpec, ky: KernelSpec) -> HMatrix:
+    """Assemble h = kx_gram * g from the input Gram and the output Gram.
+
+    `joint` is the (2N, 2N) output Gram over [model outputs; data outputs],
+    whose four blocks give g = kmm + kyy - kmy - kmy^T at once.
+    """
+    n = len(kx_gram)
     kmm = joint[:n, :n]
     kyy = joint[n:, n:]
     kmy = joint[:n, n:]
-    g = kmm + kyy - kmy - kmy.T
-    return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
-
-
-def h_matrix_from_grams(kx_gram: np.ndarray, kmm: np.ndarray, kyy: np.ndarray,
-                        kmy: np.ndarray, kx: KernelSpec, ky: KernelSpec
-                        ) -> HMatrix:
-    """Assemble an HMatrix from precomputed Gram blocks (fast paths)."""
     g = kmm + kyy - kmy - kmy.T
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
 

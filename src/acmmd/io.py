@@ -24,13 +24,35 @@ from .sequences import Alphabet
 _ITEM_FIELDS = ("tokens", "scalar", "embedding", "per_position")
 
 
+def _list_of(value, types) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= types
+
+
+# Field -> (what it must be, test on its parsed JSON value). Exact types
+# keep JSON booleans from passing as numbers.
+_ITEM_TYPES = {
+    "tokens": ("a list of strings", lambda v: _list_of(v, {str})),
+    "scalar": ("a number", lambda v: type(v) in (int, float)),
+    "embedding": ("a list of numbers", lambda v: _list_of(v, {int, float})),
+    "per_position": ("a list of number lists", lambda v: isinstance(v, list)
+                     and all(_list_of(row, {int, float}) for row in v)),
+}
+
+
 def item_from_json(obj, where: str) -> Item:
-    """Build an Item from a parsed JSON object, with located errors."""
+    """Build an Item from a parsed JSON object, with located errors.
+
+    Values are not coerced: tokens must be strings and numbers numbers.
+    """
     if not isinstance(obj, dict):
         raise DataError(f"{where}: item must be an object, got {type(obj).__name__}")
     unknown = set(obj) - set(_ITEM_FIELDS)
     if unknown:
         raise DataError(f"{where}: unknown item fields {sorted(unknown)}")
+    for key, value in obj.items():
+        expected, valid = _ITEM_TYPES[key]
+        if value is not None and not valid(value):
+            raise DataError(f"{where}: {key} must be {expected}")
     try:
         return Item(**obj)
     except (ValueError, TypeError) as exc:

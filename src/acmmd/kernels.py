@@ -13,9 +13,7 @@ scalar entry points are kept for oracles and small inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Sequence as TypingSequence
 
 import numpy as np
 import scipy.sparse
@@ -27,19 +25,12 @@ from .sequences import Tokens, encode_sequences
 SEQUENCE_KINDS = ("exp-hamming", "tilted-exp-hamming")
 VECTOR_KINDS = ("gaussian", "mean-gaussian")
 DISTRIBUTION_KINDS = ("dist-expmmd",)
-HAMMING_MODES = ("padded", "length-penalty")
-
-_KIND_ALIASES = {
-    "gaussian-on-vectors": "gaussian",
-    "mean-embedding-gaussian": "mean-gaussian",
-    "distribution-exp-mmd": "dist-expmmd",
-}
-_MODE_ALIASES = {"terminal-padded": "padded", "penalty": "length-penalty"}
 
 # Soft cap on temporary buffers allocated by chunked Gram assembly.
 _CHUNK_BYTES = 1 << 26
-# One-hot bit width beyond which packed popcount distances stop paying off.
-_MAX_PACKED_BITS = 1024
+# Indicator columns per Hamming matrix product: deep products make fewer
+# passes over the output, and the indicators stay at 4 KiB per row.
+_GEMM_DEPTH = 1024
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class KernelSpec:
         lam: decay of the Hamming exponent (sequence kinds only, > 0).
         sigma: Gaussian bandwidth, a positive float or the string "median"
             for the median heuristic (vector and distribution kinds only).
-        mode: unequal-length Hamming convention, "padded" or "length-penalty".
+        mode: unequal-length Hamming convention; "padded" is the only one.
         inner: sequence kernel used inside the MMD (distribution kind only).
     """
 
@@ -62,11 +53,8 @@ class KernelSpec:
     inner: "KernelSpec | None" = None
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
-        mode = _MODE_ALIASES.get(self.mode, self.mode)
-        object.__setattr__(self, "mode", mode)
-        if mode not in HAMMING_MODES:
+        kind = self.kind
+        if self.mode != "padded":
             raise ValueError(f"unknown hamming mode {self.mode!r}")
         if kind in SEQUENCE_KINDS:
             lam = 1.0 if self.lam is None else float(self.lam)
@@ -158,53 +146,33 @@ def _parse_float(value: str, name: str) -> float:
 # Scalar kernels
 
 
-# Sentinel standing in for the terminal token in the padded comparison.
-_PAD = object()
+def hamming_distance(y: Tokens, y2: Tokens, alphabet=None) -> int:
+    """Padded Hamming distance between variable-length sequences.
 
-
-def hamming_distance(y: Tokens, y2: Tokens, mode: str = "padded",
-                     alphabet=None) -> int:
-    """Hamming distance between variable-length sequences.
-
-    "padded" conceptually extends both sequences with terminal tokens and
-    counts differing positions up to the longer length; "length-penalty"
-    counts mismatches over the common prefix plus the length difference.
-    The two coincide on terminal-free sequences, which is what every record
-    holds; both are kept because they are specified independently.
+    Both sequences are conceptually extended with terminal tokens to the
+    longer length, so the distance is the mismatch count over the common
+    prefix plus the length difference.
     """
-    mode = _MODE_ALIASES.get(mode, mode)
-    if mode not in HAMMING_MODES:
-        raise ValueError(f"unknown hamming mode {mode!r}")
     y, y2 = tuple(y), tuple(y2)
     if alphabet is not None:
         alphabet.validate(y)
         alphabet.validate(y2)
-    n1, n2 = len(y), len(y2)
-    if mode == "padded":
-        d = 0
-        for i in range(max(n1, n2)):
-            a = y[i] if i < n1 else _PAD
-            b = y2[i] if i < n2 else _PAD
-            d += a != b
-        return d
-    return sum(a != b for a, b in zip(y, y2)) + max(n1, n2) - min(n1, n2)
+    return sum(a != b for a, b in zip(y, y2)) + abs(len(y) - len(y2))
 
 
-def exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0,
-                mode: str = "padded") -> float:
+def exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0) -> float:
     """Exponentiated Hamming kernel e^(-lam * d_H); 1 iff the inputs are equal."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    return float(np.exp(-lam * hamming_distance(y, y2, mode)))
+    return float(np.exp(-lam * hamming_distance(y, y2)))
 
 
-def tilted_exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0,
-                       mode: str = "padded") -> float:
+def tilted_exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0) -> float:
     """Exponentiated Hamming divided by both lengths; undefined on empty input."""
     y, y2 = tuple(y), tuple(y2)
     if len(y) == 0 or len(y2) == 0:
         raise ValueError("tilted-exp-hamming is invalid for empty sequences")
-    return exp_hamming(y, y2, lam, mode) / (len(y) * len(y2))
+    return exp_hamming(y, y2, lam) / (len(y) * len(y2))
 
 
 def gaussian(u, v, sigma: float = 1.0) -> float:
@@ -232,31 +200,59 @@ def mean_pool(per_position) -> np.ndarray:
 
 
 def hamming_gram(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """Pairwise padded Hamming distances between encoded rows, chunked."""
+    """Pairwise padded Hamming distances between encoded rows.
+
+    A distance is the width minus the matching positions, and the matches
+    are sum_s (codes_a == s) @ (codes_b == s)^T over the codes s of
+    `codes_a`, pad included. The indicators of a group of codes sit side
+    by side, so each float32 GEMM sums over about `_GEMM_DEPTH` columns.
+    The products are exact because every count is at most the width,
+    below 2^24.
+    """
     n, w = codes_a.shape
     m, w2 = codes_b.shape
     if w != w2:
         raise ValueError("encoded widths differ; encode jointly")
-    out = np.empty((n, m), dtype=np.int64)
+    if w >= 1 << 24:
+        raise ValueError("encoded width too large for exact float32 counts")
+    codes = np.unique(codes_a)
+    step = max(1, _GEMM_DEPTH // max(1, w))
+    matches = np.zeros((n, m), dtype=np.float32)
+    for start in range(0, len(codes), step):
+        group = codes[start:start + step, None]
+        depth = len(group) * w
+        matches += ((codes_a[:, None] == group).reshape(n, depth).astype(np.float32)
+                    @ (codes_b[:, None] == group).reshape(m, depth).astype(np.float32).T)
+    out = matches.astype(np.int64)
+    return np.subtract(w, out, out=out)
+
+
+def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct encoded row, and each row's vocabulary index."""
+    n, w = codes.shape
     if w == 0:
-        out.fill(0)
-        return out
-    rows_per = max(1, _CHUNK_BYTES // max(1, m * w))
-    for start in range(0, n, rows_per):
-        stop = min(n, start + rows_per)
-        out[start:stop] = (codes_a[start:stop, None, :]
-                           != codes_b[None, :, :]).sum(axis=2, dtype=np.int64)
-    return out
+        return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    flat = np.ascontiguousarray(codes)
+    rows = flat.view(np.dtype((np.void, flat.dtype.itemsize * w))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b
                   ) -> np.ndarray:
-    """Gram matrix of a sequence kernel over jointly encoded inputs."""
+    """Gram matrix of a sequence kernel over jointly encoded inputs.
+
+    Distances are computed between distinct rows only and gathered back to
+    full size.
+    """
     if spec.kind not in SEQUENCE_KINDS:
         raise ValueError(f"not a sequence kernel: {spec.kind}")
-    dists = hamming_gram(codes_a, codes_b)
+    first_a, inv_a = _unique_rows(codes_a)
+    first_b, inv_b = (first_a, inv_a) if codes_b is codes_a \
+        else _unique_rows(codes_b)
     lut = np.exp(-spec.lam * np.arange(codes_a.shape[1] + 1, dtype=np.float64))
-    values = lut[dists]
+    values = lut[hamming_gram(codes_a[first_a], codes_b[first_b])]
+    values = values[np.ix_(inv_a, inv_b)]
     if spec.kind == "tilted-exp-hamming":
         if np.any(lengths_a == 0) or np.any(lengths_b == 0):
             raise ValueError("tilted-exp-hamming is invalid for empty sequences")
@@ -375,9 +371,9 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
 def scalar_kernel(spec: KernelSpec):
     """Scalar two-argument callable for the kernel (oracle-friendly)."""
     if spec.kind == "exp-hamming":
-        return lambda a, b: exp_hamming(tokens_of(a), tokens_of(b), spec.lam, spec.mode)
+        return lambda a, b: exp_hamming(tokens_of(a), tokens_of(b), spec.lam)
     if spec.kind == "tilted-exp-hamming":
-        return lambda a, b: tilted_exp_hamming(tokens_of(a), tokens_of(b), spec.lam, spec.mode)
+        return lambda a, b: tilted_exp_hamming(tokens_of(a), tokens_of(b), spec.lam)
     if spec.kind in VECTOR_KINDS:
         sigma = spec.sigma_resolved
         return lambda a, b: gaussian(_vector_of(a, spec.kind), _vector_of(b, spec.kind), sigma)
@@ -408,22 +404,8 @@ def mmd_sq_unbiased(sample_a, sample_b, ky: KernelSpec) -> float:
     items = list(sample_a) + list(sample_b)
     spec = resolve_spec(ky, items)
     if spec.kind in SEQUENCE_KINDS:
-        # Samples repeat sequences heavily, so the Gram is built over the
-        # distinct rows only and weighted by multiplicity.
         codes, lengths = encode_sequences(_sequences_of(items))
-        vocab, first, inverse = np.unique(codes, axis=0, return_index=True,
-                                          return_inverse=True)
-        values = sequence_gram(spec, vocab, lengths[first],
-                               vocab, lengths[first])
-        count_a = np.bincount(inverse[:na], minlength=len(vocab)
-                              ).astype(np.float64)
-        count_b = np.bincount(inverse[na:], minlength=len(vocab)
-                              ).astype(np.float64)
-        diag = np.diagonal(values)
-        term_a = (count_a @ values @ count_a - count_a @ diag) / (na * (na - 1))
-        term_b = (count_b @ values @ count_b - count_b @ diag) / (nb * (nb - 1))
-        cross = count_a @ values @ count_b / (na * nb)
-        return float(term_a + term_b - 2.0 * cross)
+        return float(mmd_sq_matrix_encoded(codes, lengths, [na, nb], spec)[0, 1])
     full = gram(spec, items)
     kaa = full[:na, :na]
     kbb = full[na:, na:]
@@ -433,30 +415,8 @@ def mmd_sq_unbiased(sample_a, sample_b, ky: KernelSpec) -> float:
     return float(term_a + term_b - 2.0 * kab.sum() / (na * nb))
 
 
-def _pack_onehot_bits(codes: np.ndarray, n_symbols: int) -> np.ndarray:
-    """One-hot encode rows and pack into uint64 words for XOR popcounting."""
-    v, w = codes.shape
-    onehot = (codes[:, :, None] == np.arange(n_symbols, dtype=codes.dtype)
-              ).reshape(v, w * n_symbols)
-    packed8 = np.packbits(onehot, axis=1)
-    extra = (-packed8.shape[1]) % 8
-    if extra:
-        packed8 = np.pad(packed8, ((0, 0), (0, extra)))
-    return np.ascontiguousarray(packed8).view(np.uint64)
-
-
-def _vocab_distances(vocab: np.ndarray, rows: slice, packed: np.ndarray | None
-                     ) -> np.ndarray:
-    """Hamming distances between a row chunk of the vocabulary and all of it."""
-    if packed is not None:
-        xor = packed[rows][:, None, :] ^ packed[None, :, :]
-        return np.bitwise_count(xor).sum(axis=2, dtype=np.int64) >> 1
-    return (vocab[rows][:, None, :] != vocab[None, :, :]).sum(axis=2, dtype=np.int64)
-
-
 def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
-                          r_counts: np.ndarray, ky: KernelSpec,
-                          with_diag: bool = True) -> np.ndarray:
+                          r_counts: np.ndarray, ky: KernelSpec) -> np.ndarray:
     """Pairwise unbiased MMD^2 between consecutive blocks of encoded samples.
 
     The flat `codes` rows are grouped into records by `r_counts` (record i
@@ -465,9 +425,7 @@ def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
     every cross sum is an entry of C K C^T, which keeps the cost near
     O(|vocab|^2) instead of O((sum R_i)^2).
 
-    The diagonal holds the split-half estimate of each record against itself
-    (first half vs second half), or 0.0 when a half has fewer than 2 samples
-    or `with_diag` is false; no statistic reads it.
+    The diagonal is 0; no statistic reads it.
     """
     if ky.kind not in SEQUENCE_KINDS:
         raise ValueError("mmd matrix needs a sequence kernel")
@@ -482,44 +440,28 @@ def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
         raise ValueError("tilted-exp-hamming is invalid for empty sequences")
 
     rec_ids = np.repeat(np.arange(n_rec), r_counts)
-    total, w = codes.shape
-
-    # Vocabulary of distinct sample rows.
-    flat = np.ascontiguousarray(codes)
-    if w == 0:
-        vocab = flat[:1].copy() if total else flat.copy()
-        inv = np.zeros(total, dtype=np.int64)
-        vocab_idx = np.zeros(min(total, 1), dtype=np.int64)
-    else:
-        void = flat.view(np.dtype((np.void, flat.dtype.itemsize * w))).ravel()
-        _, vocab_idx, inv = np.unique(void, return_index=True, return_inverse=True)
-        vocab = flat[vocab_idx]
-    vocab_len = lengths[vocab_idx] if len(vocab) else np.zeros(0, dtype=np.int64)
+    first, inv = _unique_rows(codes)
+    vocab = codes[first]
     v = len(vocab)
-
     counts = scipy.sparse.coo_matrix(
-        (np.ones(total, dtype=np.float64), (rec_ids, inv)),
+        (np.ones(len(codes), dtype=np.float64), (rec_ids, inv)),
         shape=(n_rec, v)).tocsc()
 
-    n_symbols = int(codes.max(initial=0)) + 1
-    packed = None
-    if 0 < w * n_symbols <= _MAX_PACKED_BITS:
-        packed = _pack_onehot_bits(vocab, n_symbols)
+    lut = np.exp(-ky.lam * np.arange(codes.shape[1] + 1, dtype=np.float64))
+    inv_len = 1.0 / lengths[first] if tilted else None
 
-    lut = np.exp(-ky.lam * np.arange(w + 1, dtype=np.float64))
-    inv_len = 1.0 / vocab_len if tilted else None
-
-    words = packed.shape[1] if packed is not None else w
-    rows_per = max(1, _CHUNK_BYTES // max(1, v * max(words * 8, w)))
-    sandwich = np.zeros((n_rec, v), dtype=np.float64)
+    # The vocabulary Gram K is symmetric, so C K C^T is the sum over row
+    # chunks R of C[:, R] (C K[R, :]^T)^T. A chunk's float32 match counts,
+    # int64 distances, float64 kernel values and their temporaries stay
+    # within 64 B per entry.
+    rows_per = max(1, _CHUNK_BYTES // (64 * max(1, v)))
+    cross = np.zeros((n_rec, n_rec), dtype=np.float64)
     for start in range(0, v, rows_per):
         rows = slice(start, min(v, start + rows_per))
-        kernel_chunk = lut[_vocab_distances(vocab, rows, packed)]
+        kernel_chunk = lut[hamming_gram(vocab[rows], vocab)]
         if tilted:
             kernel_chunk *= np.outer(inv_len[rows], inv_len)
-        sandwich += counts[:, rows] @ kernel_chunk
-
-    cross = np.asarray(counts @ sandwich.T)
+        cross += counts[:, rows] @ (counts @ kernel_chunk.T).T
 
     if tilted:
         self_sums = np.bincount(rec_ids, weights=1.0 / lengths ** 2,
@@ -529,54 +471,35 @@ def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
     within = (np.diag(cross) - self_sums) / (r_counts * (r_counts - 1.0))
 
     mmd = within[:, None] + within[None, :] - 2.0 * cross / np.outer(r_counts, r_counts)
-
-    starts = np.concatenate(([0], np.cumsum(r_counts)))
     np.fill_diagonal(mmd, 0.0)
-    if with_diag:
-        for i in range(n_rec):
-            half = int(r_counts[i]) // 2
-            if half < 2 or int(r_counts[i]) - half < 2:
-                continue
-            lo, hi = starts[i], starts[i + 1]
-            first = slice(lo, lo + half)
-            second = slice(lo + half, hi)
-            kff = sequence_gram(ky, codes[first], lengths[first], codes[first], lengths[first])
-            kss = sequence_gram(ky, codes[second], lengths[second], codes[second], lengths[second])
-            kfs = sequence_gram(ky, codes[first], lengths[first], codes[second], lengths[second])
-            nf, ns = half, int(r_counts[i]) - half
-            mmd[i, i] = ((kff.sum() - np.trace(kff)) / (nf * (nf - 1))
-                         + (kss.sum() - np.trace(kss)) / (ns * (ns - 1))
-                         - 2.0 * kfs.sum() / (nf * ns))
     return mmd
 
 
-def mmd_sq_matrix(sample_sets, ky: KernelSpec, with_diag: bool = True
-                  ) -> np.ndarray:
+def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
     """Pairwise unbiased MMD^2 between token sample sets (list-level API)."""
     seq_sets = [[tokens_of(s) for s in one] for one in sample_sets]
     r_counts = np.array([len(one) for one in seq_sets], dtype=np.int64)
     flat = [s for one in seq_sets for s in one]
     codes, lengths = encode_sequences(flat)
-    return mmd_sq_matrix_encoded(codes, lengths, r_counts, ky, with_diag)
+    return mmd_sq_matrix_encoded(codes, lengths, r_counts, ky)
 
 
-def distribution_gram(spec: KernelSpec, sample_sets,
-                      mmd: np.ndarray | None = None
+def distribution_gram(spec: KernelSpec, sample_sets
                       ) -> tuple[np.ndarray, KernelSpec, np.ndarray]:
     """Self-Gram of the exponentiated-MMD kernel over sample sets.
 
     Entries are e^(-MMD^2 / (2 sigma^2)) and may exceed 1 because the
     unbiased MMD^2 estimate can be negative; the matrix is not forced PSD.
     A 'median' sigma resolves to the median of sqrt(max(MMD^2, 0)) over
-    off-diagonal pairs (fallback 1.0 when that median is 0).
+    off-diagonal pairs (fallback 1.0 when that median is 0). The MMD^2
+    diagonal is 0, so the diagonal values are 1.
 
     Returns:
         (values, resolved spec, the MMD^2 matrix).
     """
     if spec.kind not in DISTRIBUTION_KINDS:
         raise ValueError(f"not a distribution kernel: {spec.kind}")
-    if mmd is None:
-        mmd = mmd_sq_matrix(sample_sets, spec.inner, with_diag=True)
+    mmd = mmd_sq_matrix(sample_sets, spec.inner)
     sigma = spec.sigma
     if sigma == "median":
         n = len(mmd)

@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import HMatrix, acmmd_sq, h_matrix_from_grams
-from .kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, KernelSpec,
-                      distribution_gram, gram, mmd_sq_matrix_encoded,
-                      resolve_spec, sequence_gram)
-from .records import tokens_of
-from .sequences import encode_sequences
+from .kernels import (DISTRIBUTION_KINDS, KernelSpec, distribution_gram, gram,
+                      resolve_spec)
 from .testing import TestReport, test_from_h
 
 
@@ -34,11 +31,11 @@ class KhatMatrix:
     """Distribution-kernel Gram over the records' sample sets.
 
     Attributes:
-        values: (N, N) matrix exp(-MMD^2 / (2 sigma^2)). The diagonal uses
-            each record's split-half MMD against itself (0 when a half would
-            have fewer than 2 samples); no statistic reads it.
+        values: (N, N) matrix exp(-MMD^2 / (2 sigma^2)). The diagonal is 1;
+            no statistic reads it.
         spec: resolved distribution-kernel description (numeric sigma).
-        mmd_sq: the underlying (N, N) unbiased MMD^2 estimates.
+        mmd_sq: the underlying (N, N) unbiased MMD^2 estimates, with a 0
+            diagonal.
     """
 
     values: np.ndarray
@@ -67,41 +64,18 @@ def khat_matrix(records, kp: KernelSpec) -> KhatMatrix:
 
 
 def rel_h_matrix(records, kp: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """h matrix for reliability records, deduplicating sequence work.
+    """h matrix for reliability records: khat takes the input Gram's place.
 
-    The khat Gram and all ky blocks reuse one joint encoding; the khat
-    diagonal is skipped entirely because no statistic reads it.
+    The output kernel's median bandwidth resolves over the union of model
+    and data outputs.
     """
     records = list(records)
-    n = len(records)
-    if n < 2:
+    if len(records) < 2:
         raise ValueError("need at least 2 records")
-    if kp.kind not in DISTRIBUTION_KINDS:
-        raise ValueError("reliability needs a distribution kernel")
-    ky = resolve_spec(ky, [r.y_model for r in records] + [r.y for r in records])
-
-    if ky.kind in SEQUENCE_KINDS and kp.inner.kind in SEQUENCE_KINDS:
-        seqs = [tokens_of(r.y_model) for r in records] \
-            + [tokens_of(r.y) for r in records] \
-            + [tokens_of(s) for r in records for s in r.model_samples]
-        codes, lengths = encode_sequences(seqs)
-        r_counts = np.array([len(r.model_samples) for r in records], dtype=np.int64)
-        mmd = mmd_sq_matrix_encoded(codes[2 * n:], lengths[2 * n:], r_counts,
-                                    kp.inner, with_diag=False)
-        khat_values, kp_resolved, _ = distribution_gram(kp, None, mmd=mmd)
-        pair = sequence_gram(ky, codes[:2 * n], lengths[:2 * n],
-                             codes[:2 * n], lengths[:2 * n])
-        kmm = pair[:n, :n]
-        kyy = pair[n:, n:]
-        kmy = pair[:n, n:]
-    else:
-        khat = khat_matrix(records, kp)
-        khat_values, kp_resolved = khat.values, khat.spec
-        joint = gram(ky, [r.y_model for r in records] + [r.y for r in records])
-        kmm = joint[:n, :n]
-        kyy = joint[n:, n:]
-        kmy = joint[:n, n:]
-    return h_matrix_from_grams(khat_values, kmm, kyy, kmy, kp_resolved, ky)
+    khat = khat_matrix(records, kp)
+    outputs = [r.y_model for r in records] + [r.y for r in records]
+    ky = resolve_spec(ky, outputs)
+    return h_matrix_from_grams(khat.values, gram(ky, outputs), khat.spec, ky)
 
 
 def acmmd_rel_sq(records, ky: KernelSpec, kp: KernelSpec | None = None,

@@ -144,6 +144,19 @@ class TestTripletErrors:
         with pytest.raises(DataError, match="group must be a string"):
             load_triplets(path)
 
+    @pytest.mark.parametrize("item,message", [
+        ({"tokens": "AB"}, "tokens must be a list of strings"),
+        ({"tokens": [1, 2]}, "tokens must be a list of strings"),
+        ({"scalar": True}, "scalar must be a number"),
+    ])
+    def test_item_values_not_coerced(self, tmp_path, item, message):
+        good = {"x": {"scalar": 1.0}, "y": {"tokens": []},
+                "y_model": {"tokens": []}}
+        path = self.write_lines(tmp_path,
+                                [json.dumps(good), json.dumps({**good, "y": item})])
+        with pytest.raises(DataError, match=rf"bad\.jsonl:2 \(y\): {message}"):
+            load_triplets(path)
+
 
 class TestReliabilityIo:
     def test_write_then_load(self, tmp_path):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acmmd.kernels import (KernelSpec, distribution_gram, exp_hamming,
                            gaussian, gaussian_gram, gram, hamming_distance,
-                           mean_pool, median_pairwise_distance, mmd_sq_matrix,
-                           mmd_sq_unbiased, resolve_spec, scalar_kernel,
-                           sequence_gram, tilted_exp_hamming)
+                           hamming_gram, mean_pool, median_pairwise_distance,
+                           mmd_sq_matrix, mmd_sq_unbiased, resolve_spec,
+                           scalar_kernel, sequence_gram, tilted_exp_hamming)
 from acmmd.records import Item
 from acmmd.sequences import encode_sequences
 
@@ -19,19 +19,28 @@ from conftest import (brute_exp_hamming, brute_gaussian,
 tokens_st = st.lists(st.sampled_from("AB"), max_size=6).map(tuple)
 
 
+@st.composite
+def encoded_pairs(draw):
+    """Two code matrices of one width whose rows repeat from a shared pool."""
+    n_codes = draw(st.integers(1, 300))
+    width = draw(st.integers(0, 40))
+    row = st.lists(st.integers(0, n_codes - 1), min_size=width,
+                   max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=8)
+
+    def codes(idx):
+        return np.array([pool[i] for i in idx],
+                        dtype=np.uint16).reshape(len(idx), width)
+
+    return codes(draw(picks)), codes(draw(picks))
+
+
 class TestKernelSpec:
     @pytest.mark.parametrize("text,canonical", [
         ("exp-hamming", "exp-hamming:lambda=1.0:mode=padded"),
-        ("exp-hamming:lambda=2:mode=terminal-padded",
-         "exp-hamming:lambda=2.0:mode=padded"),
-        ("tilted-exp-hamming:lambda=0.5:mode=length-penalty",
-         "tilted-exp-hamming:lambda=0.5:mode=length-penalty"),
         ("gaussian", "gaussian:sigma=median"),
         ("gaussian:sigma=1.0", "gaussian:sigma=1.0"),
-        ("gaussian-on-vectors:sigma=2", "gaussian:sigma=2.0"),
-        ("mean-embedding-gaussian", "mean-gaussian:sigma=median"),
-        ("distribution-exp-mmd:sigma=0.5:inner=tilted-exp-hamming:lambda=2",
-         "dist-expmmd:sigma=0.5:inner=tilted-exp-hamming:lambda=2.0:mode=padded"),
     ])
     def test_parse_and_canonical_string(self, text, canonical):
         assert KernelSpec.parse(text).to_string() == canonical
@@ -58,6 +67,11 @@ class TestKernelSpec:
         "gaussian:sigma=0", "gaussian:sigma=-2", "gaussian:sigma=big",
         "gaussian:lambda=1", "exp-hamming:bogus=1", "exp-hamming:noequals",
         "dist-expmmd:inner=gaussian:sigma=1.0",
+        # Former aliases and the length-penalty mode are no longer accepted.
+        "exp-hamming:lambda=2:mode=terminal-padded",
+        "tilted-exp-hamming:lambda=0.5:mode=length-penalty",
+        "gaussian-on-vectors:sigma=2", "mean-embedding-gaussian",
+        "distribution-exp-mmd:sigma=0.5:inner=tilted-exp-hamming:lambda=2",
     ])
     def test_invalid_specs_rejected(self, text):
         with pytest.raises(ValueError):
@@ -78,15 +92,7 @@ class TestHammingDistance:
 
     @given(tokens_st, tokens_st)
     def test_padded_matches_oracle(self, a, b):
-        assert hamming_distance(a, b, "padded") == brute_hamming_padded(a, b)
-
-    @given(tokens_st, tokens_st)
-    def test_modes_coincide_on_terminal_free_sequences(self, a, b):
-        # Both conventions reduce to prefix mismatches plus the length gap
-        # when no terminal symbol occurs inside a sequence, which the record
-        # model guarantees.
-        assert (hamming_distance(a, b, "padded")
-                == hamming_distance(a, b, "length-penalty"))
+        assert hamming_distance(a, b) == brute_hamming_padded(a, b)
 
     def test_symmetry_and_identity(self, rng):
         for _ in range(50):
@@ -95,8 +101,10 @@ class TestHammingDistance:
             assert hamming_distance(a, a) == 0
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            hamming_distance(("A",), ("B",), mode="bogus")
+        # "padded" is the only Hamming convention.
+        for mode in ("bogus", "length-penalty", "terminal-padded"):
+            with pytest.raises(ValueError, match="mode"):
+                KernelSpec("exp-hamming", mode=mode)
 
 
 class TestScalarKernels:
@@ -136,6 +144,20 @@ class TestScalarKernels:
 
 
 class TestGrams:
+    @given(encoded_pairs())
+    @example((np.array([[299, 7], [299, 7]], dtype=np.uint16),
+              np.array([[299, 1], [0, 7], [299, 7]], dtype=np.uint16)))
+    @example((np.zeros((3, 0), dtype=np.uint16),
+              np.zeros((2, 0), dtype=np.uint16)))
+    # 300 distinct codes at width 30 need several groups of codes.
+    @example((np.arange(300, dtype=np.uint16).reshape(10, 30),
+              np.arange(300, dtype=np.uint16).reshape(10, 30)[::-1] % 7))
+    def test_hamming_gram_matches_broadcast(self, pair):
+        a, b = pair
+        got = hamming_gram(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (a[:, None] != b[None]).sum(2))
+
     def test_sequence_gram_matches_scalar(self, rng):
         seqs = [random_tokens(rng) for _ in range(12)]
         for kind, scalar_fn in [("exp-hamming", brute_exp_hamming),
@@ -268,15 +290,6 @@ class TestMmdMatrix:
                     rel=1e-12, abs=1e-12)
         assert np.allclose(matrix, matrix.T, atol=1e-15)
 
-    def test_split_half_diagonal(self):
-        ky = KernelSpec("exp-hamming")
-        sets = [[("A",), ("A", "B"), ("B",), ("B", "B")],
-                [("A",), ("A",), ("B",), ("B",)]]
-        matrix = mmd_sq_matrix(sets, ky, with_diag=True)
-        for i, one in enumerate(sets):
-            expected = mmd_sq_unbiased(one[:2], one[2:], ky)
-            assert matrix[i, i] == pytest.approx(expected, rel=1e-12)
-
     def test_small_records_get_zero_diagonal(self):
         sets = [[("A",), ("B",)], [("A",), ("A",), ("B",)]]
         matrix = mmd_sq_matrix(sets, KernelSpec("exp-hamming"))
@@ -284,8 +297,7 @@ class TestMmdMatrix:
         assert matrix[1, 1] == 0.0
 
     def test_direct_fallback_path_matches(self, rng):
-        # A wide alphabet pushes the one-hot width past the packed-bits cap,
-        # forcing the direct comparison path.
+        # A wide alphabet: 200 symbols plus the pad code.
         symbols = [f"s{i}" for i in range(200)]
         sets = []
         for _ in range(4):
@@ -293,7 +305,7 @@ class TestMmdMatrix:
                     for _ in range(3)]
             sets.append(seqs)
         ky = KernelSpec("exp-hamming", lam=0.8)
-        matrix = mmd_sq_matrix(sets, ky, with_diag=False)
+        matrix = mmd_sq_matrix(sets, ky)
         for i in range(4):
             for j in range(i + 1, 4):
                 assert matrix[i, j] == pytest.approx(

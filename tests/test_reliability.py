@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmmd.estimator import acmmd_sq
-from acmmd.kernels import KernelSpec, mmd_sq_unbiased
+from acmmd.kernels import KernelSpec
 from acmmd.records import Item, ReliabilityRecord
 from acmmd.reliability import (acmmd_rel_sq, acmmd_rel_test,
                                default_inner_samples, khat_matrix,
@@ -56,21 +56,10 @@ class TestKhatMatrix:
                 assert khat.values[i, j] == pytest.approx(
                     math.exp(-want_mmd / (2 * 0.9 ** 2)), rel=1e-12)
 
-    def test_diagonal_split_half(self, rng):
-        records = random_records(rng, 3, r=6)
-        kp = KernelSpec("dist-expmmd", sigma=1.0,
-                        inner=KernelSpec("exp-hamming"))
-        khat = khat_matrix(records, kp)
-        for i, rec in enumerate(records):
-            halves = rec.model_samples[:3], rec.model_samples[3:]
-            want = mmd_sq_unbiased(halves[0], halves[1], kp.inner)
-            assert khat.mmd_sq[i, i] == pytest.approx(want, rel=1e-12,
-                                                      abs=1e-12)
-
     def test_small_sample_sets_get_unit_diagonal(self, rng):
-        # Fewer than 4 samples cannot split into two valid halves; the
-        # stored diagonal MMD is 0, hence khat 1. No statistic reads it.
-        records = random_records(rng, 3, r=2)
+        # The stored diagonal MMD is 0, hence khat 1, whatever the sample
+        # count. No statistic reads it.
+        records = random_records(rng, 3, r=2) + random_records(rng, 2, r=6)
         kp = KernelSpec("dist-expmmd", sigma=1.0,
                         inner=KernelSpec("exp-hamming"))
         khat = khat_matrix(records, kp)
@@ -84,8 +73,7 @@ class TestKhatMatrix:
 
 class TestRelHMatrix:
     def test_fast_path_matches_generic(self, rng):
-        # The sequence fast path and the per-item generic path must agree
-        # to rounding; mean-gaussian ky forces the generic branch.
+        # rel_h_matrix must agree with khat times g built by double loops.
         records = []
         for _ in range(6):
             toks = lambda: random_tokens(rng, 4)
@@ -96,17 +84,17 @@ class TestRelHMatrix:
         kp = KernelSpec("dist-expmmd", sigma=1.0, inner=ky)
         fast = rel_h_matrix(records, kp, ky)
 
-        khat = khat_matrix(records, kp)
-        from acmmd.kernels import gram
-        joint = gram(ky, [r.y_model for r in records]
-                     + [r.y for r in records])
-        n = len(records)
-        g = (joint[:n, :n] + joint[n:, n:]
-             - joint[:n, n:] - joint[:n, n:].T)
-        manual = khat.values * g
-        off = ~np.eye(n, dtype=bool)
-        assert np.allclose(fast.values[off], manual[off], rtol=1e-12,
-                           atol=1e-14)
+        k_fn = lambda a, b: brute_exp_hamming(a.tokens, b.tokens, 1.0)
+        for i, ri in enumerate(records):
+            for j, rj in enumerate(records):
+                if i == j:
+                    continue
+                khat = math.exp(-brute_mmd_sq(ri.model_samples,
+                                              rj.model_samples, k_fn) / 2.0)
+                g = (k_fn(ri.y_model, rj.y_model) + k_fn(ri.y, rj.y)
+                     - k_fn(ri.y_model, rj.y) - k_fn(ri.y, rj.y_model))
+                assert fast.values[i, j] == pytest.approx(
+                    khat * g, rel=1e-12, abs=1e-14)
 
     def test_median_sigma_matches_between_paths(self, rng):
         records = random_records(rng, 5, r=4)
