@@ -17,6 +17,7 @@ configuration error, 2 data error.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ import click
 
 from ._rng import SK_GROUP, derive
 from .config import (config_alpha, config_delta_p_values, config_family,
-                     config_kernel, config_n_values,
+                     config_group_by, config_kernel, config_n_values,
                      config_optional_positive_int, config_positive_int,
                      config_seed, config_sigma_p, config_toy, resolve_config)
 from .errors import ConfigError, DataError
@@ -36,8 +37,8 @@ from .records import ReliabilityRecord
 from .reliability import (acmmd_rel_test, default_inner_samples,
                           inner_samples_summary, rel_h_matrix)
 from .kernels import KernelSpec
-from .sweep import (run_group_sweep, run_toy_sweep, summarize_sweep,
-                    write_sweep_csv)
+from .sweep import (run_group_sweep, run_toy_sweep, split_groups,
+                    summarize_sweep, write_sweep_csv)
 from .testing import acmmd_test
 from .toy import (TOY_ALPHABET, acmmd_rel_sq_exact, acmmd_sq_exact,
                   generate_reliability_records, generate_triplets,
@@ -50,15 +51,53 @@ def cli():
     sequence models."""
 
 
-def _opt_config(f):
-    return click.option("--config", "config_path",
-                        type=click.Path(dir_okay=False),
-                        help="JSON config file; flags override it.")(f)
-
-
-def _opt_out(f):
-    return click.option("--out", "out_path", type=click.Path(dir_okay=False),
-                        help="Output path (default: print to stdout).")(f)
+# Every option is declared once here. A command's flags other than --input,
+# --out and --config are exactly its config keys (see resolve_config).
+_PATH = click.Path(dir_okay=False)
+_opt_input = functools.partial(click.option, "--input", "input_path",
+                               type=_PATH, required=True)
+_opt_out = functools.partial(click.option, "--out", "out_path", type=_PATH,
+                             help="Output path (default: print to stdout).")
+_opt_config = click.option("--config", "config_path", type=_PATH,
+                           help="JSON config file; flags override it.")
+_opt_kernel_x = click.option("--kernel-x", help="Input kernel spec.")
+_opt_kernel_y = click.option("--kernel-y", help="Output kernel spec.")
+_opt_group_by = click.option("--group-by",
+                             help="Record label key to split on.")
+_opt_alpha = click.option("--alpha", type=float, help="Test level.")
+_opt_bootstrap = click.option("--bootstrap", type=int,
+                              help="Wild-bootstrap draw count.")
+_opt_seed = click.option("--seed", type=int, help="Base seed.")
+_opt_sigma_p = click.option(
+    "--sigma-p", help="Distribution-kernel bandwidth, or 'median'.")
+_opt_inner_samples = click.option(
+    "--inner-samples", type=int,
+    help="Model samples per record (rel): the first R of each dataset "
+         "record, or R per toy record.")
+_opt_family = click.option("--family", type=click.Choice(["acmmd", "rel"]),
+                           help="Test family and record shape.")
+_opt_n_values = click.option(
+    "--n-values", help="Comma-separated record counts (toy sweeps).")
+_opt_delta_p_values = click.option(
+    "--delta-p-values", help="Comma-separated perturbations (toy sweeps).")
+_opt_n_seeds = click.option("--n-seeds", type=int, help="Runs per grid cell.")
+_opt_subsample_n = click.option(
+    "--subsample-n", type=int,
+    help="Per-seed subsample size within each group.")
+_opt_workers = click.option("--workers", type=int, help="Parallel workers.")
+_opt_timings = click.option(
+    "--timings", is_flag=True, default=None,
+    help="Record wall-clock runtime per row (off by default so reruns are "
+         "byte-identical).")
+_opt_n = click.option("--n", type=int, help="Number of records.")
+_opt_delta_p = click.option("--delta-p", type=float,
+                            help="First-position perturbation.")
+_opt_atoms = click.option("--atoms", help="Toy prior atoms, comma-separated.")
+_opt_weights = click.option("--weights",
+                            help="Toy prior weights, comma-separated.")
+_opt_lam = click.option("--lam", type=float, help="Toy output-kernel decay.")
+_opt_kx_sigma = click.option("--kx-sigma", type=float,
+                             help="Toy input-kernel bandwidth.")
 
 
 def _emit(report: dict, out_path) -> None:
@@ -68,33 +107,18 @@ def _emit(report: dict, out_path) -> None:
         click.echo(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _group_pairs(records, group_by):
-    """Split records by group label; None means no grouping requested."""
-    if group_by is None:
-        return None
-    if group_by != "group":
-        raise ConfigError(
-            f"records carry a single label field 'group'; cannot group by {group_by!r}")
-    labels = sorted({r.group for r in records if r.group is not None})
-    if not labels:
-        raise DataError("grouping requested but no record has a group label")
-    return [(label, [r for r in records if r.group == label])
-            for label in labels]
-
-
 def _run_per_group(records, group_by, seed, run) -> dict:
     """Report body of `run(members, seed) -> dict` over all records or per group.
 
     Ungrouped, the body is the run over every record with `seed`. Grouped,
     it is {"groups": [...]} with one entry per label, and group gi runs
-    with derive(seed, SK_GROUP, gi, 0, 1). Runs that draw no random
-    numbers pass seed None.
+    with derive(seed, SK_GROUP, gi, 0, 1), the seed a one-seed group sweep
+    gives it. Runs that draw no random numbers pass seed None.
     """
-    pairs = _group_pairs(records, group_by)
-    if pairs is None:
+    if group_by is None:
         return run(records, seed)
     entries = []
-    for gi, (label, members) in enumerate(pairs):
+    for gi, (label, members) in enumerate(split_groups(records)):
         entry = run(members, None if seed is None
                     else derive(seed, SK_GROUP, gi, 0, 1))
         entry["group"] = label
@@ -133,18 +157,15 @@ def _trim_model_samples(records, inner_samples: int | None):
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(dir_okay=False),
-              required=True, help="Triplet dataset (JSONL).")
-@click.option("--kernel-x", default=None, help="Input kernel spec.")
-@click.option("--kernel-y", default=None, help="Output kernel spec.")
-@click.option("--group-by", default=None, help="Record label key to split on.")
-@_opt_out
+@_opt_input(help="Triplet dataset (JSONL).")
+@_opt_kernel_x
+@_opt_kernel_y
+@_opt_group_by
+@_opt_out()
 @_opt_config
-def estimate(input_path, kernel_x, kernel_y, group_by, out_path, config_path):
+def estimate(input_path, out_path, config_path, **flags):
     """Estimate the goodness-of-fit statistic on a dataset."""
-    cfg, _ = resolve_config({"kernel_x", "kernel_y", "group_by"}, config_path,
-                            kernel_x=kernel_x, kernel_y=kernel_y,
-                            group_by=group_by)
+    cfg, _ = resolve_config(config_path, **flags)
     kx = config_kernel(cfg, "kernel_x")
     ky = config_kernel(cfg, "kernel_y")
     records, _ = load_triplets(input_path)
@@ -154,29 +175,23 @@ def estimate(input_path, kernel_x, kernel_y, group_by, out_path, config_path):
         return _estimate_entry(h, kernel_x=h.kx.to_string())
 
     report: dict = {"command": "estimate", "input": str(input_path)}
-    report.update(_run_per_group(records, cfg["group_by"], None, run))
+    report.update(_run_per_group(records, config_group_by(cfg), None, run))
     _emit(report, out_path)
 
 
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(dir_okay=False),
-              required=True, help="Triplet dataset (JSONL).")
-@click.option("--kernel-x", default=None, help="Input kernel spec.")
-@click.option("--kernel-y", default=None, help="Output kernel spec.")
-@click.option("--alpha", type=float, default=None, help="Test level.")
-@click.option("--bootstrap", type=int, default=None,
-              help="Wild-bootstrap draw count.")
-@click.option("--seed", type=int, default=None, help="Base seed.")
-@click.option("--group-by", default=None, help="Record label key to split on.")
-@_opt_out
+@_opt_input(help="Triplet dataset (JSONL).")
+@_opt_kernel_x
+@_opt_kernel_y
+@_opt_alpha
+@_opt_bootstrap
+@_opt_seed
+@_opt_group_by
+@_opt_out()
 @_opt_config
-def test(input_path, kernel_x, kernel_y, alpha, bootstrap, seed, group_by,
-         out_path, config_path):
+def test(input_path, out_path, config_path, **flags):
     """Run the goodness-of-fit test on a dataset."""
-    cfg, _ = resolve_config(
-        {"kernel_x", "kernel_y", "alpha", "bootstrap", "seed", "group_by"},
-        config_path, kernel_x=kernel_x, kernel_y=kernel_y, alpha=alpha,
-        bootstrap=bootstrap, seed=seed, group_by=group_by)
+    cfg, _ = resolve_config(config_path, **flags)
     kx = config_kernel(cfg, "kernel_x")
     ky = config_kernel(cfg, "kernel_y")
     alpha_v = config_alpha(cfg)
@@ -186,7 +201,7 @@ def test(input_path, kernel_x, kernel_y, alpha, bootstrap, seed, group_by,
     report: dict = {"command": "test", "input": str(input_path),
                     "seed": seed_v}
     report.update(_run_per_group(
-        records, cfg["group_by"], seed_v,
+        records, config_group_by(cfg), seed_v,
         lambda members, s: acmmd_test(members, kx, ky, alpha=alpha_v,
                                       b_count=b_count, seed=s).to_dict()))
     _emit(report, out_path)
@@ -197,23 +212,16 @@ def test(input_path, kernel_x, kernel_y, alpha, bootstrap, seed, group_by,
 
 
 @cli.command("rel-estimate")
-@click.option("--input", "input_path", type=click.Path(dir_okay=False),
-              required=True, help="Reliability dataset (JSONL).")
-@click.option("--kernel-y", default=None, help="Output kernel spec.")
-@click.option("--sigma-p", default=None,
-              help="Distribution-kernel bandwidth, or 'median'.")
-@click.option("--inner-samples", type=int, default=None,
-              help="Use only the first R model samples per record.")
-@click.option("--group-by", default=None, help="Record label key to split on.")
-@_opt_out
+@_opt_input(help="Reliability dataset (JSONL).")
+@_opt_kernel_y
+@_opt_sigma_p
+@_opt_inner_samples
+@_opt_group_by
+@_opt_out()
 @_opt_config
-def rel_estimate(input_path, kernel_y, sigma_p, inner_samples, group_by,
-                 out_path, config_path):
+def rel_estimate(input_path, out_path, config_path, **flags):
     """Estimate the reliability statistic on a sampled-model dataset."""
-    cfg, _ = resolve_config(
-        {"kernel_y", "sigma_p", "inner_samples", "group_by"}, config_path,
-        kernel_y=kernel_y, sigma_p=sigma_p, inner_samples=inner_samples,
-        group_by=group_by)
+    cfg, _ = resolve_config(config_path, **flags)
     ky = config_kernel(cfg, "kernel_y")
     sigma = config_sigma_p(cfg)
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
@@ -227,33 +235,24 @@ def rel_estimate(input_path, kernel_y, sigma_p, inner_samples, group_by,
                                inner_samples=inner_samples_summary(members))
 
     report: dict = {"command": "rel-estimate", "input": str(input_path)}
-    report.update(_run_per_group(records, cfg["group_by"], None, run))
+    report.update(_run_per_group(records, config_group_by(cfg), None, run))
     _emit(report, out_path)
 
 
 @cli.command("rel-test")
-@click.option("--input", "input_path", type=click.Path(dir_okay=False),
-              required=True, help="Reliability dataset (JSONL).")
-@click.option("--kernel-y", default=None, help="Output kernel spec.")
-@click.option("--sigma-p", default=None,
-              help="Distribution-kernel bandwidth, or 'median'.")
-@click.option("--inner-samples", type=int, default=None,
-              help="Use only the first R model samples per record.")
-@click.option("--alpha", type=float, default=None, help="Test level.")
-@click.option("--bootstrap", type=int, default=None,
-              help="Wild-bootstrap draw count.")
-@click.option("--seed", type=int, default=None, help="Base seed.")
-@click.option("--group-by", default=None, help="Record label key to split on.")
-@_opt_out
+@_opt_input(help="Reliability dataset (JSONL).")
+@_opt_kernel_y
+@_opt_sigma_p
+@_opt_inner_samples
+@_opt_alpha
+@_opt_bootstrap
+@_opt_seed
+@_opt_group_by
+@_opt_out()
 @_opt_config
-def rel_test(input_path, kernel_y, sigma_p, inner_samples, alpha, bootstrap,
-             seed, group_by, out_path, config_path):
+def rel_test(input_path, out_path, config_path, **flags):
     """Run the reliability test on a sampled-model dataset."""
-    cfg, _ = resolve_config(
-        {"kernel_y", "sigma_p", "inner_samples", "alpha", "bootstrap",
-         "seed", "group_by"}, config_path, kernel_y=kernel_y,
-        sigma_p=sigma_p, inner_samples=inner_samples, alpha=alpha,
-        bootstrap=bootstrap, seed=seed, group_by=group_by)
+    cfg, _ = resolve_config(config_path, **flags)
     ky = config_kernel(cfg, "kernel_y")
     sigma = config_sigma_p(cfg)
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
@@ -265,7 +264,7 @@ def rel_test(input_path, kernel_y, sigma_p, inner_samples, alpha, bootstrap,
     report: dict = {"command": "rel-test", "input": str(input_path),
                     "seed": seed_v}
     report.update(_run_per_group(
-        records, cfg["group_by"], seed_v,
+        records, config_group_by(cfg), seed_v,
         lambda members, s: acmmd_rel_test(
             members, ky, sigma=sigma, alpha=alpha_v, b_count=b_count,
             seed=s).to_dict()))
@@ -276,65 +275,34 @@ def rel_test(input_path, kernel_y, sigma_p, inner_samples, alpha, bootstrap,
 # sweep
 
 
-_SWEEP_KEYS = {
-    "kernel_x", "kernel_y", "sigma_p", "alpha", "bootstrap", "seed",
-    "family", "workers", "timings", "n_values", "delta_p_values", "n_seeds",
-    "inner_samples", "subsample_n", "atoms", "weights", "lam", "kx_sigma",
-    "group_by",
-}
-
-
 @cli.command()
-@click.option("--input", "input_path", type=click.Path(dir_okay=False),
-              default=None,
-              help="Dataset for a per-group sweep; omit for a toy sweep.")
-@click.option("--family", default=None, type=click.Choice(["acmmd", "rel"]),
-              help="Which test to run.")
-@click.option("--kernel-x", default=None, help="Input kernel (dataset sweeps).")
-@click.option("--kernel-y", default=None, help="Output kernel (dataset sweeps).")
-@click.option("--sigma-p", default=None,
-              help="Distribution-kernel bandwidth, or 'median'.")
-@click.option("--alpha", type=float, default=None, help="Test level.")
-@click.option("--bootstrap", type=int, default=None,
-              help="Wild-bootstrap draw count.")
-@click.option("--seed", type=int, default=None, help="Base seed.")
-@click.option("--n-values", default=None,
-              help="Comma-separated record counts (toy sweeps).")
-@click.option("--delta-p-values", default=None,
-              help="Comma-separated perturbations (toy sweeps).")
-@click.option("--n-seeds", type=int, default=None, help="Runs per grid cell.")
-@click.option("--inner-samples", type=int, default=None,
-              help="Model samples per record (rel).")
-@click.option("--subsample-n", type=int, default=None,
-              help="Per-seed subsample size within each group.")
-@click.option("--atoms", default=None, help="Toy prior atoms, comma-separated.")
-@click.option("--weights", default=None,
-              help="Toy prior weights, comma-separated.")
-@click.option("--lam", type=float, default=None,
-              help="Toy output-kernel decay.")
-@click.option("--kx-sigma", type=float, default=None,
-              help="Toy input-kernel bandwidth.")
-@click.option("--group-by", default=None, help="Record label key to split on.")
-@click.option("--workers", type=int, default=None, help="Parallel workers.")
-@click.option("--timings", is_flag=True, default=None,
-              help="Record wall-clock runtime per row (off by default so "
-                   "reruns are byte-identical).")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True, help="CSV output path; a .summary.json sits "
-                                  "next to it.")
+@_opt_input(required=False,
+            help="Dataset for a per-group sweep; omit for a toy sweep.")
+@_opt_family
+@_opt_kernel_x
+@_opt_kernel_y
+@_opt_sigma_p
+@_opt_alpha
+@_opt_bootstrap
+@_opt_seed
+@_opt_n_values
+@_opt_delta_p_values
+@_opt_n_seeds
+@_opt_inner_samples
+@_opt_subsample_n
+@_opt_atoms
+@_opt_weights
+@_opt_lam
+@_opt_kx_sigma
+@_opt_group_by
+@_opt_workers
+@_opt_timings
+@_opt_out(required=True,
+          help="CSV output path; a .summary.json sits next to it.")
 @_opt_config
-def sweep(input_path, family, kernel_x, kernel_y, sigma_p, alpha, bootstrap,
-          seed, n_values, delta_p_values, n_seeds, inner_samples,
-          subsample_n, atoms, weights, lam, kx_sigma, group_by, workers,
-          timings, out_path, config_path):
+def sweep(input_path, out_path, config_path, **flags):
     """Run the test once per grid cell and seed; write CSV plus summary."""
-    cfg, explicit = resolve_config(
-        _SWEEP_KEYS, config_path, kernel_x=kernel_x, kernel_y=kernel_y,
-        sigma_p=sigma_p, alpha=alpha, bootstrap=bootstrap, seed=seed,
-        family=family, workers=workers, timings=timings, n_values=n_values,
-        delta_p_values=delta_p_values, n_seeds=n_seeds,
-        inner_samples=inner_samples, subsample_n=subsample_n, atoms=atoms,
-        weights=weights, lam=lam, kx_sigma=kx_sigma, group_by=group_by)
+    cfg, explicit = resolve_config(config_path, **flags)
     family_v = config_family(cfg)
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
@@ -346,12 +314,8 @@ def sweep(input_path, family, kernel_x, kernel_y, sigma_p, alpha, bootstrap,
     timings_v = bool(cfg["timings"])
 
     if input_path is not None:
-        if cfg["group_by"] is None:
+        if config_group_by(cfg) is None:
             raise ConfigError("dataset sweeps need --group-by group")
-        if cfg["group_by"] != "group":
-            raise ConfigError(
-                f"records carry a single label field 'group'; "
-                f"cannot group by {cfg['group_by']!r}")
         ky = config_kernel(cfg, "kernel_y")
         if family_v == "rel":
             records, _ = load_reliability_records(input_path)
@@ -375,7 +339,7 @@ def sweep(input_path, family, kernel_x, kernel_y, sigma_p, alpha, bootstrap,
                     "the toy process's own kernels (set lam and kx_sigma)")
         if cfg["subsample_n"] is not None or cfg["group_by"] is not None:
             raise ConfigError("subsample_n and group_by need --input")
-        toy = config_toy(cfg, delta_p=0.0)
+        toy = config_toy(cfg)
         dps = config_delta_p_values(cfg)
         ns = config_n_values(cfg)
         for dp in dps:
@@ -390,10 +354,8 @@ def sweep(input_path, family, kernel_x, kernel_y, sigma_p, alpha, bootstrap,
         group_mode = False
 
     write_sweep_csv(out_path, rows, group_mode)
-    resolved = {key: cfg[key] for key in sorted(_SWEEP_KEYS)}
-    resolved["command"] = "sweep"
-    resolved["input"] = str(input_path) if input_path else None
-    resolved["out"] = str(out_path)
+    resolved = dict(cfg, command="sweep", out=str(out_path),
+                    input=str(input_path) if input_path else None)
     summary = summarize_sweep(rows, group_mode, config=resolved)
     summary_path = Path(out_path).with_suffix(".summary.json")
     write_report(summary_path, summary)
@@ -406,28 +368,18 @@ def sweep(input_path, family, kernel_x, kernel_y, sigma_p, alpha, bootstrap,
 
 
 @cli.command("toy-generate")
-@click.option("--n", type=int, default=None, help="Number of records.")
-@click.option("--delta-p", type=float, default=None,
-              help="First-position perturbation.")
-@click.option("--atoms", default=None, help="Prior atoms, comma-separated.")
-@click.option("--weights", default=None, help="Prior weights, comma-separated.")
-@click.option("--lam", type=float, default=None, help="Output-kernel decay.")
-@click.option("--family", default=None, type=click.Choice(["acmmd", "rel"]),
-              help="Record shape to write.")
-@click.option("--inner-samples", type=int, default=None,
-              help="Model samples per record (rel family).")
-@click.option("--seed", type=int, default=None, help="Base seed.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True, help="JSONL output path.")
+@_opt_n
+@_opt_delta_p
+@_opt_atoms
+@_opt_weights
+@_opt_family
+@_opt_inner_samples
+@_opt_seed
+@_opt_out(required=True, help="JSONL output path.")
 @_opt_config
-def toy_generate(n, delta_p, atoms, weights, lam, family, inner_samples,
-                 seed, out_path, config_path):
+def toy_generate(out_path, config_path, **flags):
     """Sample a toy-process dataset and write it as JSONL."""
-    cfg, _ = resolve_config(
-        {"n", "delta_p", "atoms", "weights", "lam", "kx_sigma", "family",
-         "inner_samples", "seed"}, config_path, n=n, delta_p=delta_p,
-        atoms=atoms, weights=weights, lam=lam, family=family,
-        inner_samples=inner_samples, seed=seed)
+    cfg, _ = resolve_config(config_path, **flags)
     if cfg["n"] is None:
         raise ConfigError("n is required")
     n_v = cfg["n"]
@@ -449,24 +401,17 @@ def toy_generate(n, delta_p, atoms, weights, lam, family, inner_samples,
 
 
 @cli.command("toy-exact")
-@click.option("--delta-p", type=float, default=None,
-              help="First-position perturbation.")
-@click.option("--atoms", default=None, help="Prior atoms, comma-separated.")
-@click.option("--weights", default=None, help="Prior weights, comma-separated.")
-@click.option("--lam", type=float, default=None, help="Output-kernel decay.")
-@click.option("--kx-sigma", type=float, default=None,
-              help="Input-kernel bandwidth.")
-@click.option("--sigma-p", default=None,
-              help="Distribution-kernel bandwidth for the reliability value.")
-@_opt_out
+@_opt_delta_p
+@_opt_atoms
+@_opt_weights
+@_opt_lam
+@_opt_kx_sigma
+@_opt_sigma_p
+@_opt_out()
 @_opt_config
-def toy_exact(delta_p, atoms, weights, lam, kx_sigma, sigma_p, out_path,
-              config_path):
+def toy_exact(out_path, config_path, **flags):
     """Print closed-form population values for a toy configuration."""
-    cfg, explicit = resolve_config(
-        {"delta_p", "atoms", "weights", "lam", "kx_sigma", "sigma_p"},
-        config_path, delta_p=delta_p, atoms=atoms, weights=weights, lam=lam,
-        kx_sigma=kx_sigma, sigma_p=sigma_p)
+    cfg, explicit = resolve_config(config_path, **flags)
     toy = config_toy(cfg)
     report: dict = {
         "command": "toy-exact",

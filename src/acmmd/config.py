@@ -9,7 +9,6 @@ being ignored.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .errors import ConfigError
 from .kernels import KernelSpec
@@ -56,39 +55,36 @@ def load_config_file(path) -> dict:
     return obj
 
 
-def resolve_config(allowed: Iterable[str], config_path=None,
-                   **flags) -> tuple[dict, set]:
+def resolve_config(config_path=None, **flags) -> tuple[dict, set]:
     """Layer defaults, config-file values, and explicit flags.
 
     Args:
-        allowed: config keys this command understands.
         config_path: optional config file.
-        flags: CLI values; None means the flag was not given.
+        flags: a command's CLI values by config key; None means the flag
+            was not given. Their keys are the config keys the command
+            understands.
 
     Returns:
-        (values, explicit): a value for every allowed key, plus the set of
-        keys that were set explicitly (file or flag) rather than defaulted.
+        (values, explicit): a value for every key in `flags`, plus the set
+        of keys that were set explicitly (file or flag) rather than
+        defaulted.
 
     Raises:
-        ConfigError: unknown key in the file or in `flags`.
+        ConfigError: a file key the command does not understand.
     """
-    allowed = set(allowed)
-    bad = allowed - set(DEFAULTS)
+    bad = set(flags) - set(DEFAULTS)
     if bad:
         raise ConfigError(f"internal: unregistered config keys {sorted(bad)}")
-    merged = {key: DEFAULTS[key] for key in allowed}
+    merged = {key: DEFAULTS[key] for key in flags}
     explicit: set = set()
     if config_path is not None:
         file_values = load_config_file(config_path)
-        unknown = set(file_values) - allowed
+        unknown = set(file_values) - set(flags)
         if unknown:
             raise ConfigError(
                 f"config file {config_path}: unknown keys {sorted(unknown)}")
         merged.update(file_values)
         explicit.update(file_values)
-    unknown = set(flags) - allowed
-    if unknown:
-        raise ConfigError(f"internal: unexpected flags {sorted(unknown)}")
     for key, value in flags.items():
         if value is not None:
             merged[key] = value
@@ -194,19 +190,31 @@ def config_delta_p_values(cfg: dict) -> list[float]:
     return _float_list(cfg["delta_p_values"], "delta_p_values")
 
 
-def config_toy(cfg: dict, delta_p: float | None = None) -> ToyConfig:
-    """Build the toy-process description out of flat config keys."""
+def config_group_by(cfg: dict) -> str | None:
+    """The label field to split records on, or None for no grouping."""
+    group_by = cfg["group_by"]
+    if group_by not in (None, "group"):
+        raise ConfigError(
+            f"records carry a single label field 'group'; "
+            f"cannot group by {group_by!r}")
+    return group_by
+
+
+def config_toy(cfg: dict) -> ToyConfig:
+    """Build the toy-process description out of flat config keys.
+
+    Of delta_p, lam and kx_sigma, only the keys in `cfg` are read; the
+    others keep the ToyConfig defaults.
+    """
     atoms = _float_list(cfg["atoms"], "atoms")
     weights = None
-    if cfg.get("weights") is not None:
+    if cfg["weights"] is not None:
         weights = _float_list(cfg["weights"], "weights")
     try:
         prior = ToyPrior(atoms=tuple(atoms),
                          weights=tuple(weights) if weights else None)
-        return ToyConfig(
-            prior=prior,
-            delta_p=float(cfg["delta_p"]) if delta_p is None else float(delta_p),
-            lam=float(cfg["lam"]),
-            kx_sigma=float(cfg["kx_sigma"]))
+        return ToyConfig(prior=prior, **{
+            key: float(cfg[key]) for key in ("delta_p", "lam", "kx_sigma")
+            if key in cfg})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

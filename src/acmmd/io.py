@@ -1,11 +1,11 @@
 """JSONL record files and JSON report output.
 
 A dataset is one record per line. Lines starting with '#' are comments; a
-comment of the form `# alphabet=A,B,STOP terminal=STOP` declares the token
-alphabet, which then validates every sequence in the file. Records are
-objects whose fields are items; an item is an object carrying any of
-`tokens` (list of strings), `scalar` (number), `embedding` (flat number
-list), or `per_position` (list of equal-length number lists).
+comment of the form `# alphabet=A,B,STOP terminal=STOP` before the first
+record declares the token alphabet, which then validates every sequence in
+the file. Records are objects whose fields are items; an item is an object
+carrying any of `tokens` (list of strings), `scalar` (number), `embedding`
+(flat number list), or `per_position` (list of equal-length number lists).
 
 Triplet records need `x`, `y`, and `y_model`. Reliability records need
 `y`, `y_model`, and `model_samples` (a list of at least 2 items); `x` is
@@ -92,7 +92,11 @@ def _parse_alphabet_comment(line: str, where: str) -> Alphabet | None:
 
 
 def _iter_records(path):
-    """Yield (line_number, parsed object) records; collect the alphabet."""
+    """Yield (line_number, parsed object) records; collect the alphabet.
+
+    The alphabet declaration must come before the first record, so that it
+    validates every record.
+    """
     alphabet: list[Alphabet | None] = [None]
 
     def gen():
@@ -100,6 +104,7 @@ def _iter_records(path):
             fh = open(path, "r", encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot read dataset {path}: {exc}") from exc
+        seen_record = False
         with fh:
             for lineno, line in enumerate(fh, start=1):
                 where = f"{path}:{lineno}"
@@ -111,8 +116,12 @@ def _iter_records(path):
                     if parsed is not None:
                         if alphabet[0] is not None:
                             raise DataError(f"{where}: duplicate alphabet declaration")
+                        if seen_record:
+                            raise DataError(
+                                f"{where}: alphabet declared after the first record")
                         alphabet[0] = parsed
                     continue
+                seen_record = True
                 try:
                     obj = json.loads(stripped)
                 except json.JSONDecodeError as exc:

@@ -146,7 +146,7 @@ def _parse_float(value: str, name: str) -> float:
 # Scalar kernels
 
 
-def hamming_distance(y: Tokens, y2: Tokens, alphabet=None) -> int:
+def hamming_distance(y: Tokens, y2: Tokens) -> int:
     """Padded Hamming distance between variable-length sequences.
 
     Both sequences are conceptually extended with terminal tokens to the
@@ -154,9 +154,6 @@ def hamming_distance(y: Tokens, y2: Tokens, alphabet=None) -> int:
     prefix plus the length difference.
     """
     y, y2 = tuple(y), tuple(y2)
-    if alphabet is not None:
-        alphabet.validate(y)
-        alphabet.validate(y2)
     return sum(a != b for a, b in zip(y, y2)) + abs(len(y) - len(y2))
 
 

@@ -38,7 +38,12 @@ class Item:
 
     def __post_init__(self):
         if self.tokens is not None:
-            self.tokens = tuple(str(t) for t in self.tokens)
+            if isinstance(self.tokens, str):
+                raise ValueError("tokens must be a sequence of strings, "
+                                 "not a string")
+            self.tokens = tuple(self.tokens)
+            if not all(isinstance(t, str) for t in self.tokens):
+                raise ValueError("tokens must be strings")
         if self.scalar is not None:
             self.scalar = float(self.scalar)
             if not math.isfinite(self.scalar):
@@ -48,15 +53,6 @@ class Item:
         if all(v is None for v in (self.tokens, self.scalar, self.embedding,
                                    self.per_position)):
             raise ValueError("item needs at least one representation")
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        """Representation names present on this item, in a fixed order."""
-        out = []
-        for name in ("tokens", "scalar", "embedding", "per_position"):
-            if getattr(self, name) is not None:
-                out.append(name)
-        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Item):

@@ -44,31 +44,24 @@ class Alphabet:
                 raise ValueError(f"token {tok!r} not in alphabet")
 
 
-def encode_sequences(seqs: Sequence[Tokens],
-                     alphabet: Alphabet | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def encode_sequences(seqs: Sequence[Tokens]) -> tuple[np.ndarray, np.ndarray]:
     """Pack token sequences into a padded integer matrix.
 
     Every row is the sequence's symbol codes followed by a shared pad code,
     so a row-wise mismatch count between two rows equals the terminal-padded
-    Hamming distance between the underlying sequences.
+    Hamming distance between the underlying sequences. Tokens are not
+    checked against an alphabet here; the dataset loader does that.
 
     Args:
         seqs: sequences as tuples (or lists) of string tokens.
-        alphabet: optional declared alphabet; inferred from the data when
-            omitted. Symbol order fixes the code assignment.
 
     Returns:
-        (codes, lengths): codes is (n, w) uint16 with pad code equal to the
-        number of distinct non-terminal symbols; lengths is (n,) int64.
+        (codes, lengths): codes is (n, w) uint16, symbols coded in sorted
+        order, with pad code equal to the number of distinct symbols;
+        lengths is (n,) int64.
     """
     seqs = [tuple(s) for s in seqs]
-    if alphabet is None:
-        symbols = tuple(sorted({tok for s in seqs for tok in s}))
-    else:
-        symbols = alphabet.sequence_symbols
-        for s in seqs:
-            alphabet.validate(s)
+    symbols = tuple(sorted({tok for s in seqs for tok in s}))
     if len(symbols) >= np.iinfo(np.uint16).max:
         raise ValueError("alphabet too large to encode")
     code_of = {tok: i for i, tok in enumerate(symbols)}
@@ -78,20 +71,5 @@ def encode_sequences(seqs: Sequence[Tokens],
     codes = np.full((len(seqs), width), pad, dtype=np.uint16)
     for i, s in enumerate(seqs):
         if s:
-            try:
-                codes[i, :len(s)] = [code_of[t] for t in s]
-            except KeyError as exc:
-                raise ValueError(f"token {exc.args[0]!r} not in alphabet") from exc
+            codes[i, :len(s)] = [code_of[t] for t in s]
     return codes, lengths
-
-
-def pad_to_width(codes: np.ndarray, width: int, pad: int) -> np.ndarray:
-    """Right-pad an encoded matrix with the pad code up to `width` columns."""
-    n, w = codes.shape
-    if w == width:
-        return codes
-    if w > width:
-        raise ValueError("cannot shrink encoded width")
-    out = np.full((n, width), pad, dtype=codes.dtype)
-    out[:, :w] = codes
-    return out

@@ -44,41 +44,84 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class _ToyTask:
-    toy: ToyConfig
+class _Plan:
+    """Everything a sweep's runs share; a run is a (cell, seed) index pair.
+
+    A cell is (n, label, source): `source` is a ToyConfig to sample n
+    records from, or a group's records, subsampled to n when n is smaller.
+    `domain` (SK_CELL or SK_GROUP) keys the seeds each run derives.
+    """
+
     family: str
-    n: int
-    inner_samples: int | None
+    kx: KernelSpec | None
+    ky: KernelSpec
     alpha: float
     bootstrap: int
     sigma_p: float | str
-    base_entropy: int
-    cell_index: int
-    seed_index: int
+    inner_samples: int | None
+    seed: int
+    domain: int
+    cells: tuple
+    n_seeds: int
     timings: bool
 
 
-def _run_toy_task(task: _ToyTask) -> SweepRow:
-    data_seed = derive(task.base_entropy, SK_CELL, task.cell_index,
-                       task.seed_index, 0)
-    test_seed = derive(task.base_entropy, SK_CELL, task.cell_index,
-                       task.seed_index, 1)
-    start = time.perf_counter() if task.timings else 0.0
-    if task.family == "rel":
-        r = task.inner_samples or default_inner_samples(task.n)
-        records = generate_reliability_records(task.toy, task.n, r, data_seed)
-        report = acmmd_rel_test(records, task.toy.ky, sigma=task.sigma_p,
-                                alpha=task.alpha, b_count=task.bootstrap,
+def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
+    n, label, source = plan.cells[ci]
+    data_seed = derive(plan.seed, plan.domain, ci, si, 0)
+    test_seed = derive(plan.seed, plan.domain, ci, si, 1)
+    start = time.perf_counter() if plan.timings else 0.0
+    if isinstance(source, ToyConfig):
+        if plan.family == "rel":
+            r = plan.inner_samples or default_inner_samples(n)
+            records = generate_reliability_records(source, n, r, data_seed)
+        else:
+            records = generate_triplets(source, n, data_seed)
+    elif n < len(source):
+        rng = np.random.Generator(np.random.PCG64(data_seed))
+        idx = rng.choice(len(source), size=n, replace=False)
+        records = [source[i] for i in sorted(idx)]
+    else:
+        records = list(source)
+    if plan.family == "rel":
+        report = acmmd_rel_test(records, plan.ky, sigma=plan.sigma_p,
+                                alpha=plan.alpha, b_count=plan.bootstrap,
                                 seed=test_seed)
     else:
-        triplets = generate_triplets(task.toy, task.n, data_seed)
-        report = acmmd_test(triplets, task.toy.kx, task.toy.ky,
-                            alpha=task.alpha, b_count=task.bootstrap,
-                            seed=test_seed)
-    elapsed = (time.perf_counter() - start) * 1e3 if task.timings else 0.0
-    return SweepRow(n=task.n, label=task.toy.delta_p, seed=task.seed_index,
-                    statistic=report.statistic, p_value=report.p_value,
-                    reject=report.reject, runtime_ms=elapsed)
+        report = acmmd_test(records, plan.kx, plan.ky, alpha=plan.alpha,
+                            b_count=plan.bootstrap, seed=test_seed)
+    elapsed = (time.perf_counter() - start) * 1e3 if plan.timings else 0.0
+    return SweepRow(n=n, label=label, seed=si, statistic=report.statistic,
+                    p_value=report.p_value, reject=report.reject,
+                    runtime_ms=elapsed)
+
+
+# The plan of the pool this process works for; set only in pool workers.
+_WORKER_PLAN: _Plan | None = None
+
+
+def _init_worker(plan: _Plan) -> None:
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+
+
+def _run_in_worker(task: tuple[int, int]) -> SweepRow:
+    return _run(_WORKER_PLAN, *task)
+
+
+def _run_plan(plan: _Plan, workers: int) -> list[SweepRow]:
+    """Every (cell, seed) run in grid order; workers get the plan once."""
+    if plan.n_seeds < 1:
+        raise ConfigError("n_seeds must be at least 1")
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
+    tasks = [(ci, si) for ci in range(len(plan.cells))
+             for si in range(plan.n_seeds)]
+    if workers == 1 or len(tasks) <= 1:
+        return [_run(plan, ci, si) for ci, si in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(plan,)) as pool:
+        return list(pool.map(_run_in_worker, tasks, chunksize=8))
 
 
 def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
@@ -94,60 +137,26 @@ def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
     """
     if not n_values or not delta_p_values:
         raise ConfigError("sweep grids must be non-empty")
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be at least 1")
-    cells = [(dp, n) for dp in delta_p_values for n in n_values]
-    tasks = []
-    for ci, (dp, n) in enumerate(cells):
-        cell_toy = toy.with_delta_p(dp)
-        for si in range(n_seeds):
-            tasks.append(_ToyTask(
-                toy=cell_toy, family=family, n=n, inner_samples=inner_samples,
-                alpha=alpha, bootstrap=bootstrap, sigma_p=sigma_p,
-                base_entropy=seed, cell_index=ci, seed_index=si,
-                timings=timings))
-    return _run_tasks(_run_toy_task, tasks, workers)
+    cells = tuple((n, dp, toy.with_delta_p(dp))
+                  for dp in delta_p_values for n in n_values)
+    return _run_plan(_Plan(
+        family=family, kx=toy.kx, ky=toy.ky, alpha=alpha, bootstrap=bootstrap,
+        sigma_p=sigma_p, inner_samples=inner_samples, seed=seed,
+        domain=SK_CELL, cells=cells, n_seeds=n_seeds, timings=timings),
+        workers)
 
 
-@dataclass(frozen=True)
-class _GroupTask:
-    records: tuple
-    group: str
-    family: str
-    kx: KernelSpec | None
-    ky: KernelSpec
-    subsample_n: int | None
-    alpha: float
-    bootstrap: int
-    sigma_p: float | str
-    base_entropy: int
-    group_index: int
-    seed_index: int
-    timings: bool
+def split_groups(records) -> list[tuple[str, list]]:
+    """(label, members) for each group label, in sorted label order.
 
-
-def _run_group_task(task: _GroupTask) -> SweepRow:
-    records = list(task.records)
-    if task.subsample_n is not None:
-        rng_seed = derive(task.base_entropy, SK_GROUP, task.group_index,
-                          task.seed_index, 0)
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        idx = rng.choice(len(records), size=task.subsample_n, replace=False)
-        records = [records[i] for i in sorted(idx)]
-    test_seed = derive(task.base_entropy, SK_GROUP, task.group_index,
-                       task.seed_index, 1)
-    start = time.perf_counter() if task.timings else 0.0
-    if task.family == "rel":
-        report = acmmd_rel_test(records, task.ky, sigma=task.sigma_p,
-                                alpha=task.alpha, b_count=task.bootstrap,
-                                seed=test_seed)
-    else:
-        report = acmmd_test(records, task.kx, task.ky, alpha=task.alpha,
-                            b_count=task.bootstrap, seed=test_seed)
-    elapsed = (time.perf_counter() - start) * 1e3 if task.timings else 0.0
-    return SweepRow(n=len(records), label=task.group, seed=task.seed_index,
-                    statistic=report.statistic, p_value=report.p_value,
-                    reject=report.reject, runtime_ms=elapsed)
+    Raises:
+        DataError: no record carries a group label.
+    """
+    labels = sorted({r.group for r in records if r.group is not None})
+    if not labels:
+        raise DataError("grouping requested but no record has a group label")
+    return [(label, [r for r in records if r.group == label])
+            for label in labels]
 
 
 def run_group_sweep(records, family: str, kx: KernelSpec | None,
@@ -162,36 +171,20 @@ def run_group_sweep(records, family: str, kx: KernelSpec | None,
     every seed index draws its own subsample (without replacement) from the
     group; without it, seeds only vary the test randomness.
     """
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be at least 1")
-    labels = sorted({r.group for r in records if r.group is not None})
-    if not labels:
-        raise DataError("group sweep needs records with group labels")
-    tasks = []
-    for gi, label in enumerate(labels):
-        members = tuple(r for r in records if r.group == label)
+    cells = []
+    for label, members in split_groups(records):
         if subsample_n is not None and subsample_n > len(members):
             raise DataError(
                 f"group {label!r} has {len(members)} records, "
                 f"fewer than subsample_n={subsample_n}")
-        if (subsample_n or len(members)) < 2:
+        n = subsample_n or len(members)
+        if n < 2:
             raise DataError(f"group {label!r} has fewer than 2 records")
-        for si in range(n_seeds):
-            tasks.append(_GroupTask(
-                records=members, group=label, family=family, kx=kx, ky=ky,
-                subsample_n=subsample_n, alpha=alpha, bootstrap=bootstrap,
-                sigma_p=sigma_p, base_entropy=seed, group_index=gi,
-                seed_index=si, timings=timings))
-    return _run_tasks(_run_group_task, tasks, workers)
-
-
-def _run_tasks(fn, tasks, workers: int) -> list:
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=8))
+        cells.append((n, label, members))
+    return _run_plan(_Plan(
+        family=family, kx=kx, ky=ky, alpha=alpha, bootstrap=bootstrap,
+        sigma_p=sigma_p, inner_samples=None, seed=seed, domain=SK_GROUP,
+        cells=tuple(cells), n_seeds=n_seeds, timings=timings), workers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import SK_BOOTSTRAP, SK_DECISION, as_seed_sequence, generator
-from .estimator import HMatrix, acmmd_sq
+from .estimator import HMatrix, acmmd_sq, h_matrix, sigma_h_sq
 from .kernels import KernelSpec
 
 
@@ -224,7 +224,6 @@ def test_from_h(h: HMatrix, alpha: float, b_count: int, seed,
     decision = randomized_decision(statistic, draws, alpha, seed)
     variance = None
     if h.n >= 3:
-        from .estimator import sigma_h_sq
         variance = sigma_h_sq(h)
     return TestReport(
         statistic=statistic, p_value=decision.p_value, reject=decision.reject,
@@ -245,6 +244,5 @@ def acmmd_test(triplets, kx: KernelSpec, ky: KernelSpec, alpha: float = 0.05,
         b_count: number of wild-bootstrap draws.
         seed: integer or SeedSequence; fixes signs and tie-breaking.
     """
-    from .estimator import h_matrix
     h = h_matrix(triplets, kx, ky)
     return test_from_h(h, alpha, b_count, seed)

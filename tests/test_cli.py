@@ -421,6 +421,31 @@ class TestSweepDataset:
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert all("group" in cell for cell in summary["cells"])
 
+    @pytest.mark.parametrize("family,command", [("acmmd", "test"),
+                                                ("rel", "rel-test")])
+    def test_grouped_test_matches_one_seed_sweep(self, family, command,
+                                                  tmp_path, capsys):
+        # Both derive group gi's test seed as derive(seed, SK_GROUP, gi, 0, 1).
+        data = tmp_path / "d.jsonl"
+        code, _, err = run(capsys, "toy-generate", "--n", "30", "--atoms",
+                           "0.3,0.45", "--delta-p", "0.25", "--family",
+                           family, "--inner-samples", "6", "--seed", "3",
+                           "--out", str(data))
+        assert code == 0, err
+        common = ("--input", str(data), "--group-by", "group",
+                  "--bootstrap", "25", "--seed", "8")
+        groups = run_json(capsys, command, *common)["groups"]
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--family", family, *common,
+                           "--n-seeds", "1", "--out", str(out))
+        assert code == 0, err
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["group"] for r in rows] == [g["group"] for g in groups]
+        for row, group in zip(rows, groups):
+            assert float(row["statistic"]) == group["statistic"]
+            assert float(row["p_value"]) == group["p_value"]
+            assert bool(int(row["reject"])) == group["reject"]
+
     def test_requires_group_by(self, toy_data, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--input", str(toy_data),
                            "--out", str(tmp_path / "s.csv"))

@@ -13,36 +13,36 @@ from acmmd.kernels import KernelSpec
 
 class TestResolveConfig:
     def test_defaults_only(self):
-        cfg, explicit = resolve_config({"alpha", "bootstrap"})
+        cfg, explicit = resolve_config(alpha=None, bootstrap=None)
         assert cfg == {"alpha": 0.05, "bootstrap": 100}
         assert explicit == set()
 
     def test_file_then_flags(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alpha": 0.1, "bootstrap": 50}))
-        cfg, explicit = resolve_config({"alpha", "bootstrap", "seed"}, path,
-                                       bootstrap=75)
+        cfg, explicit = resolve_config(path, alpha=None, bootstrap=75,
+                                       seed=None)
         assert cfg == {"alpha": 0.1, "bootstrap": 75, "seed": 0}
         assert explicit == {"alpha", "bootstrap"}
 
     def test_none_flags_do_not_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 9}))
-        cfg, _ = resolve_config({"seed"}, path, seed=None)
+        cfg, _ = resolve_config(path, seed=None)
         assert cfg["seed"] == 9
 
     def test_unknown_file_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"nope": 1}))
         with pytest.raises(ConfigError, match="unknown keys.*nope"):
-            resolve_config({"alpha"}, path)
+            resolve_config(path, alpha=None)
 
     def test_file_key_outside_command_scope(self, tmp_path):
         # n_values is a real key, but not one `estimate` accepts.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_values": [10]}))
         with pytest.raises(ConfigError, match="unknown keys"):
-            resolve_config({"alpha"}, path)
+            resolve_config(path, alpha=None)
 
     def test_bad_file_contents(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -136,8 +136,11 @@ class TestConfigToy:
         assert toy.prior.weights == (0.25, 0.75)
 
     def test_delta_p_override(self):
-        toy = config_toy(self.base(), delta_p=0.2)
+        toy = config_toy(self.base(delta_p=0.2))
         assert toy.delta_p == 0.2
+        # Keys a command lacks keep the ToyConfig defaults.
+        toy = config_toy({"atoms": "0.4", "weights": None})
+        assert (toy.delta_p, toy.lam, toy.kx_sigma) == (0.0, 1.0, 1.0)
 
     def test_invalid_atoms_surface_as_config_error(self):
         with pytest.raises(ConfigError):

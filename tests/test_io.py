@@ -137,6 +137,16 @@ class TestTripletErrors:
         with pytest.raises(DataError, match=r"bad\.jsonl:2 \(y\)"):
             load_triplets(path)
 
+    def test_alphabet_after_first_record(self, tmp_path):
+        # The record before the declaration would go unvalidated.
+        obj = {"x": {"scalar": 1.0}, "y": {"tokens": ["Z"]},
+               "y_model": {"tokens": []}}
+        path = self.write_lines(tmp_path,
+                                [json.dumps(obj), "# alphabet=A,B"])
+        with pytest.raises(DataError,
+                           match=r"bad\.jsonl:2: alphabet declared after"):
+            load_triplets(path)
+
     def test_group_must_be_string(self, tmp_path):
         obj = {"x": {"scalar": 1.0}, "y": {"tokens": []},
                "y_model": {"tokens": []}, "group": 7}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from acmmd.kernels import (KernelSpec, distribution_gram, exp_hamming,
+from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
+                           KernelSpec, distribution_gram, exp_hamming,
                            gaussian, gaussian_gram, gram, hamming_distance,
                            hamming_gram, mean_pool, median_pairwise_distance,
                            mmd_sq_matrix, mmd_sq_unbiased, resolve_spec,
@@ -17,6 +18,17 @@ from conftest import (brute_exp_hamming, brute_gaussian,
                       random_tokens)
 
 tokens_st = st.lists(st.sampled_from("AB"), max_size=6).map(tuple)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_sigmas = st.one_of(st.just("median"), _positive)
+_sequence_specs = st.builds(KernelSpec, st.sampled_from(SEQUENCE_KINDS),
+                            lam=_positive)
+kernel_specs = st.one_of(
+    _sequence_specs,
+    st.builds(KernelSpec, st.sampled_from(VECTOR_KINDS), sigma=_sigmas),
+    st.builds(KernelSpec, st.sampled_from(DISTRIBUTION_KINDS), sigma=_sigmas,
+              inner=_sequence_specs))
 
 
 @st.composite
@@ -49,6 +61,10 @@ class TestKernelSpec:
         text = "dist-expmmd:sigma=1.0:inner=exp-hamming:lambda=1.0:mode=padded"
         spec = KernelSpec.parse(text)
         assert spec.to_string() == text
+        assert KernelSpec.parse(spec.to_string()) == spec
+
+    @given(kernel_specs)
+    def test_parse_inverts_to_string(self, spec):
         assert KernelSpec.parse(spec.to_string()) == spec
 
     def test_inner_consumes_rest_of_string(self):

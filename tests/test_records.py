@@ -10,7 +10,17 @@ class TestItem:
             Item()
 
     def test_tokens_normalized_to_string_tuple(self):
-        assert Item(tokens=["A", 1]).tokens == ("A", "1")
+        # Only the container is normalized; tokens are never coerced.
+        assert Item(tokens=["A", "B"]).tokens == ("A", "B")
+
+        class Symbol(str):
+            pass
+
+        assert Item(tokens=[Symbol("A")]).tokens == ("A",)
+        with pytest.raises(ValueError, match="strings"):
+            Item(tokens=["A", 1])
+        with pytest.raises(ValueError, match="not a string"):
+            Item(tokens="AB")
 
     def test_scalar_coerced_to_float(self):
         item = Item(scalar=np.float32(2.0))
@@ -30,10 +40,6 @@ class TestItem:
             Item(embedding=[[1.0, 2.0]])
         with pytest.raises(ValueError):
             Item(per_position=[1.0, 2.0])
-
-    def test_kinds_order(self):
-        item = Item(tokens=("A",), embedding=[1.0])
-        assert item.kinds == ("tokens", "embedding")
 
     def test_equality_covers_arrays(self):
         a = Item(embedding=[1.0, 2.0])

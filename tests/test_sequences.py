@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from acmmd.sequences import Alphabet, encode_sequences, pad_to_width
+from acmmd.sequences import Alphabet, encode_sequences
 
 from conftest import brute_hamming_padded
 
@@ -48,16 +48,6 @@ class TestEncodeSequences:
         assert codes.tolist() == [[0, 1], [1, 2]]
         assert lengths.tolist() == [2, 1]
 
-    def test_declared_alphabet_fixes_code_order(self):
-        ab = Alphabet(("B", "A"))
-        codes, _ = encode_sequences([("A", "B")], alphabet=ab)
-        assert codes.tolist() == [[1, 0]]
-
-    def test_declared_alphabet_validates(self):
-        ab = Alphabet(("A", "B", "STOP"), terminal="STOP")
-        with pytest.raises(ValueError, match="terminal"):
-            encode_sequences([("A", "STOP")], alphabet=ab)
-
     def test_all_empty(self):
         codes, lengths = encode_sequences([(), ()])
         assert codes.shape == (2, 0)
@@ -76,19 +66,3 @@ class TestEncodeSequences:
             for j in range(len(seqs)):
                 direct = int(np.sum(codes[i] != codes[j]))
                 assert direct == brute_hamming_padded(seqs[i], seqs[j])
-
-
-class TestPadToWidth:
-    def test_pads_on_the_right(self):
-        codes, _ = encode_sequences([("A",)])
-        out = pad_to_width(codes, 3, pad=1)
-        assert out.tolist() == [[0, 1, 1]]
-
-    def test_same_width_is_identity(self):
-        codes, _ = encode_sequences([("A", "B")])
-        assert pad_to_width(codes, 2, pad=2) is codes
-
-    def test_shrinking_rejected(self):
-        codes, _ = encode_sequences([("A", "B")])
-        with pytest.raises(ValueError):
-            pad_to_width(codes, 1, pad=2)

@@ -6,7 +6,8 @@ from acmmd.errors import ConfigError, DataError
 from acmmd.kernels import KernelSpec
 from acmmd.sweep import (SweepRow, run_group_sweep, run_toy_sweep,
                          summarize_sweep, write_sweep_csv)
-from acmmd.toy import ToyConfig, ToyPrior, generate_triplets
+from acmmd.toy import (ToyConfig, ToyPrior, generate_reliability_records,
+                       generate_triplets)
 
 
 def toy():
@@ -50,6 +51,30 @@ class TestRunGroupSweep:
         right = generate_triplets(ToyConfig(prior=ToyPrior(atoms=(0.45,)),
                                             delta_p=0.25), 8, seed=1)
         return left + right
+
+    def rel_records(self):
+        return [r for p, seed in ((0.3, 2), (0.45, 3))
+                for r in generate_reliability_records(
+                    ToyConfig(prior=ToyPrior(atoms=(p,)), delta_p=0.25), 8,
+                    4, seed)]
+
+    @pytest.mark.parametrize("family", ["acmmd", "rel"])
+    @pytest.mark.parametrize("subsample_n", [None, 5])
+    def test_workers_do_not_change_rows(self, family, subsample_n):
+        if family == "rel":
+            records, kx = self.rel_records(), None
+        else:
+            records, kx = self.records(), KernelSpec("gaussian", sigma=1.0)
+        kwargs = dict(n_seeds=9, subsample_n=subsample_n, bootstrap=20,
+                      sigma_p=1.0)
+        serial = run_group_sweep(records, family, kx,
+                                 KernelSpec("exp-hamming"), workers=1,
+                                 **kwargs)
+        parallel = run_group_sweep(records, family, kx,
+                                   KernelSpec("exp-hamming"), workers=2,
+                                   **kwargs)
+        assert len(serial) == 18
+        assert serial == parallel
 
     def test_groups_sorted_and_subsampled(self):
         rows = run_group_sweep(self.records(), "acmmd",
