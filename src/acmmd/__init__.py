@@ -12,14 +12,13 @@ predictive distributions, testing calibration rather than fit.
 """
 
 from .errors import AcmmdError, ConfigError, DataError
-from .estimator import (HMatrix, acmmd_sq, acmmd_sq_from_triplets, g_term,
-                        h_matrix, sigma_h_sq)
-from .kernels import (KernelSpec, exp_hamming, gaussian, gram,
-                      hamming_distance, mean_pool, mmd_sq_matrix,
-                      mmd_sq_unbiased, tilted_exp_hamming)
+from .estimator import (HMatrix, acmmd_sq, acmmd_sq_from_triplets, h_matrix,
+                        sigma_h_sq)
+from .kernels import (KernelSpec, distribution_gram, gram, mean_pool,
+                      mmd_sq_matrix, mmd_sq_unbiased)
 from .records import Item, ReliabilityRecord, Triplet
-from .reliability import (KhatMatrix, acmmd_rel_sq, acmmd_rel_test,
-                          default_inner_samples, khat_matrix, rel_h_matrix)
+from .reliability import (acmmd_rel_sq, acmmd_rel_test, default_inner_samples,
+                          rel_h_matrix)
 from .sequences import Alphabet
 from .testing import (BootstrapDraws, DecisionResult, TestReport, acmmd_test,
                       quantile_index, randomized_decision, wild_bootstrap)
@@ -32,14 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AcmmdError", "ConfigError", "DataError",
     "Alphabet", "Item", "Triplet", "ReliabilityRecord",
-    "KernelSpec", "hamming_distance", "exp_hamming", "tilted_exp_hamming",
-    "gaussian", "mean_pool", "gram", "mmd_sq_unbiased", "mmd_sq_matrix",
-    "HMatrix", "g_term", "h_matrix", "acmmd_sq", "acmmd_sq_from_triplets",
+    "KernelSpec", "mean_pool", "gram", "mmd_sq_unbiased", "mmd_sq_matrix",
+    "distribution_gram",
+    "HMatrix", "h_matrix", "acmmd_sq", "acmmd_sq_from_triplets",
     "sigma_h_sq",
     "BootstrapDraws", "DecisionResult", "TestReport", "wild_bootstrap",
     "quantile_index", "randomized_decision", "acmmd_test",
-    "KhatMatrix", "khat_matrix", "rel_h_matrix", "acmmd_rel_sq",
-    "acmmd_rel_test", "default_inner_samples",
+    "rel_h_matrix", "acmmd_rel_sq", "acmmd_rel_test", "default_inner_samples",
     "ToyPrior", "ToyConfig", "TOY_ALPHABET", "generate_triplets",
     "generate_reliability_records", "acmmd_sq_exact", "mmd_sq_models_exact",
     "acmmd_rel_sq_exact",

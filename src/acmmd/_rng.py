@@ -18,8 +18,6 @@ SK_DATA = 3
 SK_CELL = 4
 SK_GROUP = 5
 
-SeedLike = "int | np.random.SeedSequence"
-
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     """Coerce an integer seed (or pass through a SeedSequence)."""

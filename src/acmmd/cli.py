@@ -294,7 +294,6 @@ def rel_test(input_path, out_path, config_path, **flags):
 @_opt_weights
 @_opt_lam
 @_opt_kx_sigma
-@_opt_group_by
 @_opt_workers
 @_opt_timings
 @_opt_out(required=True,
@@ -314,8 +313,6 @@ def sweep(input_path, out_path, config_path, **flags):
     timings_v = bool(cfg["timings"])
 
     if input_path is not None:
-        if config_group_by(cfg) is None:
-            raise ConfigError("dataset sweeps need --group-by group")
         ky = config_kernel(cfg, "kernel_y")
         if family_v == "rel":
             records, _ = load_reliability_records(input_path)
@@ -337,8 +334,8 @@ def sweep(input_path, out_path, config_path, **flags):
                 raise ConfigError(
                     f"{key} applies to dataset sweeps; toy sweeps always use "
                     "the toy process's own kernels (set lam and kx_sigma)")
-        if cfg["subsample_n"] is not None or cfg["group_by"] is not None:
-            raise ConfigError("subsample_n and group_by need --input")
+        if cfg["subsample_n"] is not None:
+            raise ConfigError("subsample_n needs --input")
         toy = config_toy(cfg)
         dps = config_delta_p_values(cfg)
         ns = config_n_values(cfg)

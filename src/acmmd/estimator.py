@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, resolve_spec, scalar_kernel
+from .kernels import KernelSpec, gram, resolve_spec
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class HMatrix:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def g_term(y1, ym1, y2, ym2, ky: KernelSpec) -> float:
-    """Output-agreement term g of the h kernel, via scalar evaluations."""
-    k = scalar_kernel(ky)
-    return k(ym1, ym2) + k(y1, y2) - k(ym1, y2) - k(y1, ym2)
 
 
 def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:

@@ -92,45 +92,41 @@ def _parse_alphabet_comment(line: str, where: str) -> Alphabet | None:
 
 
 def _iter_records(path):
-    """Yield (line_number, parsed object) records; collect the alphabet.
+    """Yield (line_number, parsed object, declared alphabet or None) records.
 
     The alphabet declaration must come before the first record, so that it
     validates every record.
     """
-    alphabet: list[Alphabet | None] = [None]
-
-    def gen():
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read dataset {path}: {exc}") from exc
-        seen_record = False
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                where = f"{path}:{lineno}"
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if stripped.startswith("#"):
-                    parsed = _parse_alphabet_comment(stripped, where)
-                    if parsed is not None:
-                        if alphabet[0] is not None:
-                            raise DataError(f"{where}: duplicate alphabet declaration")
-                        if seen_record:
-                            raise DataError(
-                                f"{where}: alphabet declared after the first record")
-                        alphabet[0] = parsed
-                    continue
-                seen_record = True
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(obj, dict):
-                    raise DataError(f"{where}: record must be an object")
-                yield lineno, obj
-
-    return gen(), alphabet
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    alphabet = None
+    seen_record = False
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                parsed = _parse_alphabet_comment(stripped, where)
+                if parsed is not None:
+                    if alphabet is not None:
+                        raise DataError(f"{where}: duplicate alphabet declaration")
+                    if seen_record:
+                        raise DataError(
+                            f"{where}: alphabet declared after the first record")
+                    alphabet = parsed
+                continue
+            seen_record = True
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: record must be an object")
+            yield lineno, obj, alphabet
 
 
 def _check_tokens(item: Item, alphabet: Alphabet | None, where: str) -> None:
@@ -160,8 +156,8 @@ def load_triplets(path) -> tuple[list[Triplet], Alphabet | None]:
             messages carry path:line locations.
     """
     records: list[Triplet] = []
-    gen, alphabet_box = _iter_records(path)
-    for lineno, obj in gen:
+    alphabet = None
+    for lineno, obj, alphabet in _iter_records(path):
         where = f"{path}:{lineno}"
         for key in ("x", "y", "y_model"):
             if key not in obj:
@@ -174,20 +170,19 @@ def load_triplets(path) -> tuple[list[Triplet], Alphabet | None]:
             y=item_from_json(obj["y"], f"{where} (y)"),
             y_model=item_from_json(obj["y_model"], f"{where} (y_model)"),
             group=_group_of(obj, where))
-        alphabet = alphabet_box[0]
         for name in ("x", "y", "y_model"):
             _check_tokens(getattr(triplet, name), alphabet, f"{where} ({name})")
         records.append(triplet)
     if not records:
         raise DataError(f"{path}: empty dataset")
-    return records, alphabet_box[0]
+    return records, alphabet
 
 
 def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | None]:
     """Read reliability records (y, y_model, model_samples[, x]) from JSONL."""
     records: list[ReliabilityRecord] = []
-    gen, alphabet_box = _iter_records(path)
-    for lineno, obj in gen:
+    alphabet = None
+    for lineno, obj, alphabet in _iter_records(path):
         where = f"{path}:{lineno}"
         for key in ("y", "y_model", "model_samples"):
             if key not in obj:
@@ -210,7 +205,6 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
                 group=_group_of(obj, where))
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        alphabet = alphabet_box[0]
         _check_tokens(record.y, alphabet, f"{where} (y)")
         _check_tokens(record.y_model, alphabet, f"{where} (y_model)")
         for i, s in enumerate(record.model_samples):
@@ -218,7 +212,7 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
         records.append(record)
     if not records:
         raise DataError(f"{path}: empty dataset")
-    return records, alphabet_box[0]
+    return records, alphabet
 
 
 def _alphabet_comment(alphabet: Alphabet) -> str:

@@ -7,8 +7,7 @@ Three families are provided, all addressed through `KernelSpec`:
 * a distribution kernel: exponentiated negative squared MMD between sample
   sets, with the MMD estimated unbiasedly from the samples.
 
-Gram assembly is vectorized over padded integer encodings of the sequences;
-scalar entry points are kept for oracles and small inputs.
+Gram assembly is vectorized over padded integer encodings of the sequences.
 """
 
 from __future__ import annotations
@@ -42,20 +41,19 @@ class KernelSpec:
         lam: decay of the Hamming exponent (sequence kinds only, > 0).
         sigma: Gaussian bandwidth, a positive float or the string "median"
             for the median heuristic (vector and distribution kinds only).
-        mode: unequal-length Hamming convention; "padded" is the only one.
         inner: sequence kernel used inside the MMD (distribution kind only).
+
+    Sequence kernels pad the shorter sequence; their spec strings say so
+    with `mode=padded`, the only mode `parse` accepts.
     """
 
     kind: str
     lam: float | None = None
     sigma: float | str | None = None
-    mode: str = "padded"
     inner: "KernelSpec | None" = None
 
     def __post_init__(self):
         kind = self.kind
-        if self.mode != "padded":
-            raise ValueError(f"unknown hamming mode {self.mode!r}")
         if kind in SEQUENCE_KINDS:
             lam = 1.0 if self.lam is None else float(self.lam)
             object.__setattr__(self, "lam", lam)
@@ -97,7 +95,7 @@ class KernelSpec:
     def to_string(self) -> str:
         """Compact CLI form, e.g. 'exp-hamming:lambda=1.0:mode=padded'."""
         if self.kind in SEQUENCE_KINDS:
-            return f"{self.kind}:lambda={self.lam!r}:mode={self.mode}"
+            return f"{self.kind}:lambda={self.lam!r}:mode=padded"
         sigma = self.sigma if isinstance(self.sigma, str) else repr(self.sigma)
         if self.kind in DISTRIBUTION_KINDS:
             return f"{self.kind}:sigma={sigma}:inner={self.inner.to_string()}"
@@ -128,7 +126,8 @@ class KernelSpec:
                 kwargs["sigma"] = value.strip() if value.strip() == "median" \
                     else _parse_float(value, "sigma")
             elif key == "mode":
-                kwargs["mode"] = value.strip()
+                if value.strip() != "padded":
+                    raise ValueError(f"unknown hamming mode {value.strip()!r}")
             else:
                 raise ValueError(f"unknown kernel spec key {key!r} in {text!r}")
             i += 1
@@ -140,56 +139,6 @@ def _parse_float(value: str, name: str) -> float:
         return float(value)
     except ValueError:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Scalar kernels
-
-
-def hamming_distance(y: Tokens, y2: Tokens) -> int:
-    """Padded Hamming distance between variable-length sequences.
-
-    Both sequences are conceptually extended with terminal tokens to the
-    longer length, so the distance is the mismatch count over the common
-    prefix plus the length difference.
-    """
-    y, y2 = tuple(y), tuple(y2)
-    return sum(a != b for a, b in zip(y, y2)) + abs(len(y) - len(y2))
-
-
-def exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0) -> float:
-    """Exponentiated Hamming kernel e^(-lam * d_H); 1 iff the inputs are equal."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    return float(np.exp(-lam * hamming_distance(y, y2)))
-
-
-def tilted_exp_hamming(y: Tokens, y2: Tokens, lam: float = 1.0) -> float:
-    """Exponentiated Hamming divided by both lengths; undefined on empty input."""
-    y, y2 = tuple(y), tuple(y2)
-    if len(y) == 0 or len(y2) == 0:
-        raise ValueError("tilted-exp-hamming is invalid for empty sequences")
-    return exp_hamming(y, y2, lam) / (len(y) * len(y2))
-
-
-def gaussian(u, v, sigma: float = 1.0) -> float:
-    """Gaussian kernel e^(-||u - v||^2 / (2 sigma^2)) on equal-length vectors."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    sq = float(np.sum((u - v) ** 2))
-    return float(np.exp(-sq / (2.0 * sigma * sigma)))
-
-
-def mean_pool(per_position) -> np.ndarray:
-    """Column-wise mean of an (L, d) per-position embedding matrix."""
-    arr = np.asarray(per_position, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("mean_pool needs a nonempty 2-d matrix")
-    return arr.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +225,14 @@ def _sequences_of(items) -> list[Tokens]:
     return [tokens_of(it) for it in items]
 
 
+def mean_pool(per_position) -> np.ndarray:
+    """Column-wise mean of an (L, d) per-position embedding matrix."""
+    arr = np.asarray(per_position, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError("mean_pool needs a nonempty 2-d matrix")
+    return arr.mean(axis=0)
+
+
 def _vector_of(item, kind: str) -> np.ndarray:
     if isinstance(item, Item):
         if kind == "mean-gaussian":
@@ -338,17 +295,13 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
         spec: kernel description; a 'median' bandwidth is resolved over the
             union of both item lists.
         items_a: list of Items, token tuples, or vectors, as fits the kind.
-            For the distribution kind, a list of sample sets (self-Gram only).
         items_b: optional second list; omitted means the symmetric self-Gram.
 
     Returns:
         (len(items_a), len(items_b)) float64 matrix.
     """
     if spec.kind in DISTRIBUTION_KINDS:
-        if items_b is not None and items_b is not items_a:
-            raise ValueError("dist-expmmd supports self-Gram only")
-        values, _, _ = distribution_gram(spec, items_a)
-        return values
+        raise ValueError("dist-expmmd Grams come from distribution_gram")
     spec = resolve_spec(spec, items_a, items_b)
     if spec.kind in SEQUENCE_KINDS:
         seqs_a = _sequences_of(items_a)
@@ -363,18 +316,6 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
     if vec_a.shape[1] != vec_b.shape[1]:
         raise ValueError("embedding dimension mismatch")
     return gaussian_gram(vec_a, vec_b, spec.sigma_resolved)
-
-
-def scalar_kernel(spec: KernelSpec):
-    """Scalar two-argument callable for the kernel (oracle-friendly)."""
-    if spec.kind == "exp-hamming":
-        return lambda a, b: exp_hamming(tokens_of(a), tokens_of(b), spec.lam)
-    if spec.kind == "tilted-exp-hamming":
-        return lambda a, b: tilted_exp_hamming(tokens_of(a), tokens_of(b), spec.lam)
-    if spec.kind in VECTOR_KINDS:
-        sigma = spec.sigma_resolved
-        return lambda a, b: gaussian(_vector_of(a, spec.kind), _vector_of(b, spec.kind), sigma)
-    raise ValueError(f"no scalar form for kernel kind {spec.kind}")
 
 
 # ---------------------------------------------------------------------------

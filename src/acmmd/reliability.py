@@ -16,35 +16,10 @@ predictive distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .estimator import HMatrix, acmmd_sq, h_matrix_from_grams
-from .kernels import (DISTRIBUTION_KINDS, KernelSpec, distribution_gram, gram,
-                      resolve_spec)
+from .kernels import KernelSpec, distribution_gram, gram, resolve_spec
 from .testing import TestReport, test_from_h
-
-
-@dataclass(frozen=True)
-class KhatMatrix:
-    """Distribution-kernel Gram over the records' sample sets.
-
-    Attributes:
-        values: (N, N) matrix exp(-MMD^2 / (2 sigma^2)). The diagonal is 1;
-            no statistic reads it.
-        spec: resolved distribution-kernel description (numeric sigma).
-        mmd_sq: the underlying (N, N) unbiased MMD^2 estimates, with a 0
-            diagonal.
-    """
-
-    values: np.ndarray
-    spec: KernelSpec
-    mmd_sq: np.ndarray
-
-    @property
-    def sigma(self) -> float:
-        return self.spec.sigma_resolved
 
 
 def default_inner_samples(n: int) -> int:
@@ -54,44 +29,33 @@ def default_inner_samples(n: int) -> int:
     return max(16, math.isqrt(n - 1) + 1)
 
 
-def khat_matrix(records, kp: KernelSpec) -> KhatMatrix:
-    """Distribution-kernel Gram over reliability records' sample sets."""
-    if kp.kind not in DISTRIBUTION_KINDS:
-        raise ValueError("reliability needs a distribution kernel")
-    sets = [r.model_samples for r in records]
-    values, resolved, mmd = distribution_gram(kp, sets)
-    return KhatMatrix(values=values, spec=resolved, mmd_sq=mmd)
-
-
 def rel_h_matrix(records, kp: KernelSpec, ky: KernelSpec) -> HMatrix:
     """h matrix for reliability records: khat takes the input Gram's place.
 
+    khat is the `kp` (dist-expmmd) Gram over the records' model-sample sets.
     The output kernel's median bandwidth resolves over the union of model
     and data outputs.
     """
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least 2 records")
-    khat = khat_matrix(records, kp)
+    khat, kp, _ = distribution_gram(kp, [r.model_samples for r in records])
     outputs = [r.y_model for r in records] + [r.y for r in records]
     ky = resolve_spec(ky, outputs)
-    return h_matrix_from_grams(khat.values, gram(ky, outputs), khat.spec, ky)
+    return h_matrix_from_grams(khat, gram(ky, outputs), kp, ky)
 
 
-def acmmd_rel_sq(records, ky: KernelSpec, kp: KernelSpec | None = None,
+def acmmd_rel_sq(records, ky: KernelSpec,
                  sigma: float | str = "median") -> float:
     """Unbiased squared reliability discrepancy over the records.
 
     Args:
         records: ReliabilityRecords (>= 2 model samples each).
-        ky: kernel on individual outputs.
-        kp: full distribution-kernel spec; overrides `sigma` when given.
-        sigma: bandwidth for the default distribution kernel built from
-            `ky` as the inner kernel ('median' for the heuristic over the
-            estimated inter-record MMDs).
+        ky: kernel on individual outputs, also the MMD's inner kernel.
+        sigma: bandwidth of the distribution kernel ('median' for the
+            heuristic over the estimated inter-record MMDs).
     """
-    if kp is None:
-        kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
+    kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
     return acmmd_sq(rel_h_matrix(records, kp, ky))
 
 
@@ -103,21 +67,18 @@ def inner_samples_summary(records) -> int | str:
     return f"{min(counts)}..{max(counts)}"
 
 
-def acmmd_rel_test(records, ky: KernelSpec, kp: KernelSpec | None = None,
-                   sigma: float | str = "median", alpha: float = 0.05,
-                   b_count: int = 100, seed=0) -> TestReport:
+def acmmd_rel_test(records, ky: KernelSpec, sigma: float | str = "median",
+                   alpha: float = 0.05, b_count: int = 100,
+                   seed=0) -> TestReport:
     """Reliability test: wild bootstrap on the khat-weighted h matrix.
 
     Args:
         records: ReliabilityRecords.
-        ky: kernel on individual outputs.
-        kp: distribution kernel on sample sets; defaults to exponentiated
-            negative MMD^2 with `ky` inside and bandwidth `sigma`.
-        sigma: bandwidth used when `kp` is not given.
+        ky: kernel on individual outputs, also the MMD's inner kernel.
+        sigma: bandwidth of the distribution kernel, as in `acmmd_rel_sq`.
         alpha, b_count, seed: as in `acmmd_test`.
     """
-    if kp is None:
-        kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
+    kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
     h = rel_h_matrix(records, kp, ky)
     extra = {
         "sigma_p": h.kx.sigma_resolved,

@@ -29,11 +29,9 @@ class BootstrapDraws:
 
     Attributes:
         values: (B,) float64 array, one value per sign vector.
-        seed: the seed the sign vectors were derived from.
     """
 
     values: np.ndarray
-    seed: int | np.random.SeedSequence
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def wild_bootstrap(h: HMatrix | np.ndarray, b_count: int, seed
     # Row b of (S H * S) sums to w_b' H w_b.
     quad = ((signs @ values) * signs).sum(axis=1)
     draws = (quad - np.trace(values)) / (n * (n - 1.0))
-    return BootstrapDraws(values=draws, seed=seed)
+    return BootstrapDraws(values=draws)
 
 
 def quantile_index(alpha: float, b_count: int) -> tuple[int, float]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rng import SK_DATA, generator
-from .kernels import KernelSpec, gaussian
+from .kernels import KernelSpec
 from .records import Item, ReliabilityRecord, Triplet
 from .sequences import Alphabet
 
@@ -278,10 +278,11 @@ def acmmd_sq_exact(config: ToyConfig) -> float:
     """
     total = 0.0
     prior = config.prior
+    sigma = config.kx_sigma
     for p, w in zip(prior.atoms, prior.weights):
         for p2, w2 in zip(prior.atoms, prior.weights):
-            total += (w * w2 * gaussian(p, p2, config.kx_sigma)
-                      * _pair_sensitivity(p, p2, config.lam))
+            kx = float(np.exp(-(p - p2) ** 2 / (2.0 * sigma * sigma)))
+            total += w * w2 * kx * _pair_sensitivity(p, p2, config.lam)
     return total * config.delta_p ** 2
 
 

@@ -408,7 +408,7 @@ class TestSweepDataset:
     def test_group_sweep(self, grouped_data, tmp_path, capsys):
         out = tmp_path / "groups.csv"
         code, echo, err = run(capsys, "sweep", "--input", str(grouped_data),
-                              "--group-by", "group", "--n-seeds", "3",
+                              "--n-seeds", "3",
                               "--bootstrap", "20", "--subsample-n", "4",
                               "--out", str(out))
         assert code == 0, err
@@ -432,9 +432,9 @@ class TestSweepDataset:
                            family, "--inner-samples", "6", "--seed", "3",
                            "--out", str(data))
         assert code == 0, err
-        common = ("--input", str(data), "--group-by", "group",
-                  "--bootstrap", "25", "--seed", "8")
-        groups = run_json(capsys, command, *common)["groups"]
+        common = ("--input", str(data), "--bootstrap", "25", "--seed", "8")
+        groups = run_json(capsys, command, *common,
+                          "--group-by", "group")["groups"]
         out = tmp_path / "s.csv"
         code, _, err = run(capsys, "sweep", "--family", family, *common,
                            "--n-seeds", "1", "--out", str(out))
@@ -445,12 +445,6 @@ class TestSweepDataset:
             assert float(row["statistic"]) == group["statistic"]
             assert float(row["p_value"]) == group["p_value"]
             assert bool(int(row["reject"])) == group["reject"]
-
-    def test_requires_group_by(self, toy_data, tmp_path, capsys):
-        code, _, err = run(capsys, "sweep", "--input", str(toy_data),
-                           "--out", str(tmp_path / "s.csv"))
-        assert code == 1
-        assert "--group-by" in err
 
     def test_subsample_without_input_rejected(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--n-values", "10",

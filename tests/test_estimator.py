@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmmd.estimator import (HMatrix, acmmd_sq, acmmd_sq_from_triplets,
-                             g_term, h_matrix, sigma_h_sq)
+                             h_matrix, sigma_h_sq)
 from acmmd.kernels import KernelSpec
 from acmmd.records import Item, Triplet
 
@@ -29,6 +29,15 @@ def kx_scalar(sigma):
 
 def ky_tokens(lam):
     return lambda a, b: brute_exp_hamming(a.tokens, b.tokens, lam)
+
+
+def g_term(y1, ym1, y2, ym2, ky):
+    """g between two records, as h[0, 1] at equal inputs (kx = 1)."""
+    x = Item(scalar=0.0)
+    triplets = [Triplet(x=x, y=Item(tokens=y1), y_model=Item(tokens=ym1)),
+                Triplet(x=x, y=Item(tokens=y2), y_model=Item(tokens=ym2))]
+    return h_matrix(triplets, KernelSpec("gaussian", sigma=1.0),
+                    ky).values[0, 1]
 
 
 class TestGTerm:

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acmmd.errors import DataError
 from acmmd.io import (item_from_json, item_to_json, load_reliability_records,
@@ -232,3 +235,70 @@ class TestWriteReport:
         path = tmp_path / "deep" / "nested" / "report.json"
         write_report(path, {"ok": True})
         assert json.loads(path.read_text()) == {"ok": True}
+
+
+_TOKEN_POOL = ("A", "B", "C", "STOP", "tok")
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def alphabets(draw):
+    """No header, or an alphabet over part of the pool, with or without a
+    terminal."""
+    if draw(st.booleans()):
+        return None
+    symbols = tuple(draw(st.lists(st.sampled_from(_TOKEN_POOL), min_size=1,
+                                  unique=True)))
+    return Alphabet(symbols=symbols,
+                    terminal=draw(st.none() | st.sampled_from(symbols)))
+
+
+@st.composite
+def items(draw, pool):
+    """An Item carrying a nonempty subset of the four representations."""
+    kinds = draw(st.sets(st.sampled_from(
+        ["tokens", "scalar", "embedding", "per_position"]), min_size=1))
+    fields = {}
+    if "tokens" in kinds:
+        fields["tokens"] = draw(st.lists(st.sampled_from(pool), max_size=4)) \
+            if pool else ()
+    if "scalar" in kinds:
+        fields["scalar"] = draw(_finite)
+    if "embedding" in kinds:
+        fields["embedding"] = draw(st.lists(_finite, max_size=3))
+    if "per_position" in kinds:
+        dim = draw(st.integers(0, 2))
+        fields["per_position"] = draw(st.lists(
+            st.lists(_finite, min_size=dim, max_size=dim), min_size=1,
+            max_size=3))
+    return Item(**fields)
+
+
+@st.composite
+def datasets(draw):
+    alphabet = draw(alphabets())
+    pool = alphabet.sequence_symbols if alphabet else _TOKEN_POOL
+    item = items(pool)
+    group = st.none() | st.text(max_size=4)
+    triplets = draw(st.lists(st.builds(
+        Triplet, x=item, y=item, y_model=item, group=group),
+        min_size=1, max_size=3))
+    reliability = draw(st.lists(st.builds(
+        ReliabilityRecord, y=item, y_model=item,
+        model_samples=st.lists(item, min_size=2, max_size=3),
+        x=st.none() | item, group=group), min_size=1, max_size=3))
+    return alphabet, triplets, reliability
+
+
+class TestJsonlRoundTrip:
+    @given(datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_writers_and_loaders_round_trip(self, data):
+        alphabet, triplets, reliability = data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "triplets.jsonl"
+            write_triplets(path, triplets, alphabet=alphabet)
+            assert load_triplets(path) == (triplets, alphabet)
+            path = Path(tmp) / "reliability.jsonl"
+            write_reliability_records(path, reliability, alphabet=alphabet)
+            assert load_reliability_records(path) == (reliability, alphabet)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
-                           KernelSpec, distribution_gram, exp_hamming,
-                           gaussian, gaussian_gram, gram, hamming_distance,
+                           KernelSpec, distribution_gram, gaussian_gram, gram,
                            hamming_gram, mean_pool, median_pairwise_distance,
                            mmd_sq_matrix, mmd_sq_unbiased, resolve_spec,
-                           scalar_kernel, sequence_gram, tilted_exp_hamming)
+                           sequence_gram)
 from acmmd.records import Item
 from acmmd.sequences import encode_sequences
 
@@ -98,59 +97,74 @@ class TestKernelSpec:
             KernelSpec("gaussian").sigma_resolved
 
 
+def hamming_distances(seqs):
+    """Padded Hamming distances between token sequences, via hamming_gram."""
+    codes, _ = encode_sequences(seqs)
+    return hamming_gram(codes, codes)
+
+
 class TestHammingDistance:
     def test_known_values(self):
-        assert hamming_distance(("A", "B"), ("A", "B")) == 0
-        assert hamming_distance(("A", "B"), ("B", "B")) == 1
-        assert hamming_distance(("A",), ("A", "B", "B")) == 2
-        assert hamming_distance((), ("A",)) == 1
-        assert hamming_distance((), ()) == 0
+        d = hamming_distances([("A", "B"), ("B", "B"), ("A",), ("A", "B", "B"),
+                               ()])
+        assert d[0, 0] == 0
+        assert d[0, 1] == 1
+        assert d[2, 3] == 2
+        assert d[4, 2] == 1
+        assert d[4, 4] == 0
 
     @given(tokens_st, tokens_st)
     def test_padded_matches_oracle(self, a, b):
-        assert hamming_distance(a, b) == brute_hamming_padded(a, b)
+        assert hamming_distances([a, b])[0, 1] == brute_hamming_padded(a, b)
 
     def test_symmetry_and_identity(self, rng):
-        for _ in range(50):
-            a, b = random_tokens(rng), random_tokens(rng)
-            assert hamming_distance(a, b) == hamming_distance(b, a)
-            assert hamming_distance(a, a) == 0
+        d = hamming_distances([random_tokens(rng) for _ in range(50)])
+        assert np.array_equal(d, d.T)
+        assert not np.diag(d).any()
 
     def test_unknown_mode_rejected(self):
-        # "padded" is the only Hamming convention.
+        # "padded" is the only Hamming convention, and not a field.
         for mode in ("bogus", "length-penalty", "terminal-padded"):
             with pytest.raises(ValueError, match="mode"):
-                KernelSpec("exp-hamming", mode=mode)
+                KernelSpec.parse(f"exp-hamming:mode={mode}")
+        assert KernelSpec.parse("exp-hamming:mode=padded") == \
+            KernelSpec("exp-hamming")
 
 
 class TestScalarKernels:
+    """Single kernel values k(a, b), read off Grams."""
+
     def test_exp_hamming_frozen_values(self):
-        assert exp_hamming(("A",), ("A",)) == 1.0
-        assert exp_hamming(("A",), ("B",)) == pytest.approx(
-            0.36787944117144233, rel=1e-15)
-        assert exp_hamming(("A", "A"), ("B", "B"), lam=1.0) == pytest.approx(
-            0.1353352832366127, rel=1e-15)
-        assert exp_hamming(("A",), ("B",), lam=0.5) == pytest.approx(
-            0.6065306597126334, rel=1e-15)
+        for a, b, lam, want in [
+                (("A",), ("A",), 1.0, 1.0),
+                (("A",), ("B",), 1.0, 0.36787944117144233),
+                (("A", "A"), ("B", "B"), 1.0, 0.1353352832366127),
+                (("A",), ("B",), 0.5, 0.6065306597126334)]:
+            value = gram(KernelSpec("exp-hamming", lam=lam), [a], [b])[0, 0]
+            assert value == pytest.approx(want, rel=1e-15)
 
     def test_tilted_divides_by_lengths(self):
-        assert tilted_exp_hamming(("A", "B"), ("A",)) == pytest.approx(
-            math.exp(-1.0) / 2.0, rel=1e-15)
+        value = gram(KernelSpec("tilted-exp-hamming"), [("A", "B")], [("A",)])
+        assert value[0, 0] == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
 
     def test_tilted_rejects_empty(self):
+        spec = KernelSpec("tilted-exp-hamming")
         with pytest.raises(ValueError, match="empty"):
-            tilted_exp_hamming((), ("A",))
+            gram(spec, [()], [("A",)])
+        with pytest.raises(ValueError, match="empty"):
+            gram(spec, [("A",), ()])
 
     def test_gaussian_values(self):
-        assert gaussian(0.0, 0.0) == 1.0
-        assert gaussian(0.0, 1.0, sigma=1.0) == pytest.approx(
+        spec = KernelSpec("gaussian", sigma=1.0)
+        assert gram(spec, [0.0], [0.0])[0, 0] == 1.0
+        assert gram(spec, [0.0], [1.0])[0, 0] == pytest.approx(
             0.6065306597126334, rel=1e-15)
-        assert gaussian([1.0, 0.0], [0.0, 1.0], sigma=1.0) == pytest.approx(
+        assert gram(spec, [[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == pytest.approx(
             math.exp(-1.0), rel=1e-15)
 
     def test_gaussian_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            gaussian([1.0, 2.0], [1.0])
+            gaussian_gram(np.ones((1, 2)), np.ones((1, 1)), sigma=1.0)
 
     def test_mean_pool(self):
         out = mean_pool([[0.0, 2.0], [2.0, 4.0]])
@@ -362,23 +376,7 @@ class TestDistributionGram:
         med = float(np.median(np.sqrt(np.clip(mmd[iu], 0.0, None))))
         assert resolved.sigma == (med if med > 0 else 1.0)
 
-    def test_gram_entry_point_self_only(self, rng):
+    def test_gram_rejects_distribution_kind(self, rng):
         sets = [[random_tokens(rng) for _ in range(3)] for _ in range(3)]
-        spec = KernelSpec("dist-expmmd", sigma=1.0)
-        values = gram(spec, sets)
-        assert values.shape == (3, 3)
-        with pytest.raises(ValueError, match="self-Gram"):
-            gram(spec, sets, [[("A",), ("B",)]])
-
-
-class TestScalarKernelFactory:
-    def test_sequence_and_vector_callables(self):
-        k = scalar_kernel(KernelSpec("exp-hamming", lam=2.0))
-        assert k(("A",), ("B",)) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        k2 = scalar_kernel(KernelSpec("gaussian", sigma=1.0))
-        assert k2(Item(scalar=0.0), Item(scalar=1.0)) == pytest.approx(
-            math.exp(-0.5), rel=1e-15)
-
-    def test_distribution_kind_has_no_scalar_form(self):
-        with pytest.raises(ValueError, match="scalar"):
-            scalar_kernel(KernelSpec("dist-expmmd", sigma=1.0))
+        with pytest.raises(ValueError, match="distribution_gram"):
+            gram(KernelSpec("dist-expmmd", sigma=1.0), sets)

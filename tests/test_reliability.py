@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from acmmd.estimator import acmmd_sq
-from acmmd.kernels import KernelSpec
+from acmmd.kernels import KernelSpec, distribution_gram
 from acmmd.records import Item, ReliabilityRecord
 from acmmd.reliability import (acmmd_rel_sq, acmmd_rel_test,
-                               default_inner_samples, khat_matrix,
-                               rel_h_matrix)
+                               default_inner_samples, rel_h_matrix)
 
 from conftest import brute_exp_hamming, brute_mmd_sq, random_tokens
+
+
+def khat_gram(records, kp):
+    """(khat values, resolved spec, MMD^2) over the records' sample sets."""
+    return distribution_gram(kp, [r.model_samples for r in records])
 
 
 def random_records(rng, n, r=4, max_len=4):
@@ -42,8 +46,8 @@ class TestKhatMatrix:
         records = random_records(rng, 5, r=4)
         kp = KernelSpec("dist-expmmd", sigma=0.9,
                         inner=KernelSpec("exp-hamming", lam=1.0))
-        khat = khat_matrix(records, kp)
-        assert khat.sigma == 0.9
+        values, resolved, mmd = khat_gram(records, kp)
+        assert resolved.sigma == 0.9
         k_fn = lambda a, b: brute_exp_hamming(a.tokens, b.tokens, 1.0)
         for i in range(5):
             for j in range(5):
@@ -51,9 +55,9 @@ class TestKhatMatrix:
                     continue
                 want_mmd = brute_mmd_sq(records[i].model_samples,
                                         records[j].model_samples, k_fn)
-                assert khat.mmd_sq[i, j] == pytest.approx(
+                assert mmd[i, j] == pytest.approx(
                     want_mmd, rel=1e-12, abs=1e-12)
-                assert khat.values[i, j] == pytest.approx(
+                assert values[i, j] == pytest.approx(
                     math.exp(-want_mmd / (2 * 0.9 ** 2)), rel=1e-12)
 
     def test_small_sample_sets_get_unit_diagonal(self, rng):
@@ -62,13 +66,14 @@ class TestKhatMatrix:
         records = random_records(rng, 3, r=2) + random_records(rng, 2, r=6)
         kp = KernelSpec("dist-expmmd", sigma=1.0,
                         inner=KernelSpec("exp-hamming"))
-        khat = khat_matrix(records, kp)
-        assert np.allclose(np.diag(khat.mmd_sq), 0.0)
-        assert np.allclose(np.diag(khat.values), 1.0)
+        values, _, mmd = khat_gram(records, kp)
+        assert np.allclose(np.diag(mmd), 0.0)
+        assert np.allclose(np.diag(values), 1.0)
 
     def test_requires_distribution_kernel(self, rng):
+        ky = KernelSpec("exp-hamming")
         with pytest.raises(ValueError, match="distribution"):
-            khat_matrix(random_records(rng, 2), KernelSpec("exp-hamming"))
+            rel_h_matrix(random_records(rng, 2), ky, ky)
 
 
 class TestRelHMatrix:
@@ -101,7 +106,7 @@ class TestRelHMatrix:
         ky = KernelSpec("exp-hamming", lam=1.0)
         kp = KernelSpec("dist-expmmd", inner=ky)
         fast = rel_h_matrix(records, kp, ky)
-        assert fast.kx.sigma == khat_matrix(records, kp).spec.sigma
+        assert fast.kx == khat_gram(records, kp)[1]
 
     def test_requires_two_records(self, rng):
         ky = KernelSpec("exp-hamming")
@@ -116,7 +121,7 @@ class TestRelStatistic:
         ky = KernelSpec("exp-hamming", lam=1.0)
         got = acmmd_rel_sq(records, ky, sigma=1.0)
         kp = KernelSpec("dist-expmmd", sigma=1.0, inner=ky)
-        khat = khat_matrix(records, kp)
+        khat, _, _ = khat_gram(records, kp)
         k_fn = lambda a, b: brute_exp_hamming(a.tokens, b.tokens, 1.0)
         total = 0.0
         count = 0
@@ -126,7 +131,7 @@ class TestRelStatistic:
                 ri, rj = records[i], records[j]
                 g = (k_fn(ri.y_model, rj.y_model) + k_fn(ri.y, rj.y)
                      - k_fn(ri.y_model, rj.y) - k_fn(ri.y, rj.y_model))
-                total += khat.values[i, j] * g
+                total += khat[i, j] * g
                 count += 1
         assert got == pytest.approx(total / count, rel=1e-12, abs=1e-14)
 
