@@ -17,6 +17,7 @@ configuration error, 2 data error.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -28,12 +29,12 @@ from ._rng import SK_GROUP, derive
 from .config import (config_alpha, config_delta_p_values, config_family,
                      config_group_by, config_kernel, config_n_values,
                      config_optional_positive_int, config_positive_int,
-                     config_seed, config_sigma_p, config_toy, resolve_config)
+                     config_rel_kernel_y, config_seed, config_sigma_p,
+                     config_toy, resolve_config)
 from .errors import ConfigError, DataError
 from .estimator import acmmd_sq, h_matrix, sigma_h_sq
 from .io import (load_reliability_records, load_triplets, write_report,
                  write_reliability_records, write_triplets)
-from .records import ReliabilityRecord
 from .reliability import (acmmd_rel_test, default_inner_samples,
                           inner_samples_summary, rel_h_matrix)
 from .kernels import KernelSpec
@@ -145,10 +146,8 @@ def _trim_model_samples(records, inner_samples: int | None):
             raise DataError(
                 f"record {i} has {len(r.model_samples)} model samples, "
                 f"fewer than inner_samples={inner_samples}")
-        out.append(ReliabilityRecord(
-            y=r.y, y_model=r.y_model,
-            model_samples=r.model_samples[:inner_samples], x=r.x,
-            group=r.group))
+        out.append(dataclasses.replace(
+            r, model_samples=r.model_samples[:inner_samples]))
     return out
 
 
@@ -222,7 +221,7 @@ def test(input_path, out_path, config_path, **flags):
 def rel_estimate(input_path, out_path, config_path, **flags):
     """Estimate the reliability statistic on a sampled-model dataset."""
     cfg, _ = resolve_config(config_path, **flags)
-    ky = config_kernel(cfg, "kernel_y")
+    ky = config_rel_kernel_y(cfg)
     sigma = config_sigma_p(cfg)
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
     records, _ = load_reliability_records(input_path)
@@ -253,7 +252,7 @@ def rel_estimate(input_path, out_path, config_path, **flags):
 def rel_test(input_path, out_path, config_path, **flags):
     """Run the reliability test on a sampled-model dataset."""
     cfg, _ = resolve_config(config_path, **flags)
-    ky = config_kernel(cfg, "kernel_y")
+    ky = config_rel_kernel_y(cfg)
     sigma = config_sigma_p(cfg)
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
     alpha_v = config_alpha(cfg)
@@ -313,14 +312,15 @@ def sweep(input_path, out_path, config_path, **flags):
     timings_v = bool(cfg["timings"])
 
     if input_path is not None:
-        ky = config_kernel(cfg, "kernel_y")
         if family_v == "rel":
+            ky = config_rel_kernel_y(cfg)
             records, _ = load_reliability_records(input_path)
             records = _trim_model_samples(records, inner)
             kx = None
         else:
-            records, _ = load_triplets(input_path)
+            ky = config_kernel(cfg, "kernel_y")
             kx = config_kernel(cfg, "kernel_x")
+            records, _ = load_triplets(input_path)
         rows = run_group_sweep(
             records, family_v, kx, ky, n_seeds_v,
             subsample_n=config_optional_positive_int(cfg, "subsample_n",

@@ -9,9 +9,10 @@ being ignored.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ConfigError
-from .kernels import KernelSpec
+from .kernels import DISTRIBUTION_KINDS, SEQUENCE_KINDS, KernelSpec
 from .toy import ToyConfig, ToyPrior
 
 DEFAULTS: dict = {
@@ -97,10 +98,24 @@ def resolve_config(config_path=None, **flags) -> tuple[dict, set]:
 
 
 def config_kernel(cfg: dict, key: str) -> KernelSpec:
+    """Input or output kernel; the rel commands build dist-expmmd themselves."""
     try:
-        return KernelSpec.parse(cfg[key])
+        spec = KernelSpec.parse(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    if spec.kind in DISTRIBUTION_KINDS:
+        raise ConfigError(f"{key}: {spec.kind} is not an input or output "
+                          "kernel; set sigma_p instead")
+    return spec
+
+
+def config_rel_kernel_y(cfg: dict) -> KernelSpec:
+    """kernel_y of a reliability run, which is also the MMD's inner kernel."""
+    ky = config_kernel(cfg, "kernel_y")
+    if ky.kind not in SEQUENCE_KINDS:
+        raise ConfigError(f"kernel_y: {ky.kind} cannot be the MMD's inner "
+                          f"kernel; use one of {SEQUENCE_KINDS}")
+    return ky
 
 
 def config_alpha(cfg: dict) -> float:
@@ -150,8 +165,8 @@ def config_sigma_p(cfg: dict) -> float | str:
     except (TypeError, ValueError):
         raise ConfigError(
             f"sigma_p must be a number or 'median', got {value!r}") from None
-    if not sigma > 0:
-        raise ConfigError(f"sigma_p must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma_p must be positive and finite, got {sigma}")
     return sigma
 
 

@@ -8,8 +8,9 @@ carrying any of `tokens` (list of strings), `scalar` (number), `embedding`
 (flat number list), or `per_position` (list of equal-length number lists).
 
 Triplet records need `x`, `y`, and `y_model`. Reliability records need
-`y`, `y_model`, and `model_samples` (a list of at least 2 items); `x` is
-optional. Either kind may carry a string `group`.
+`y`, `y_model`, and `model_samples`, a list of at least 2 model samples,
+each `{"tokens": [...]}` and nothing else; `x` is optional. Either kind may
+carry a string `group`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .errors import DataError
 from .records import Item, ReliabilityRecord, Triplet
-from .sequences import Alphabet
+from .sequences import Alphabet, Tokens
 
 _ITEM_FIELDS = ("tokens", "scalar", "embedding", "per_position")
 
@@ -57,6 +58,16 @@ def item_from_json(obj, where: str) -> Item:
         return Item(**obj)
     except (ValueError, TypeError) as exc:
         raise DataError(f"{where}: {exc}") from exc
+
+
+def _sample_from_json(obj, alphabet: Alphabet | None, where: str) -> Tokens:
+    """Token tuple of a model sample, which must be {"tokens": [strings]}."""
+    if not (isinstance(obj, dict) and set(obj) == {"tokens"}
+            and _list_of(obj["tokens"], {str})):
+        raise DataError(f"{where}: a model sample must be "
+                        '{"tokens": [strings]} with no other field')
+    _check_tokens(obj["tokens"], alphabet, where)
+    return tuple(obj["tokens"])
 
 
 def item_to_json(item: Item) -> dict:
@@ -129,11 +140,11 @@ def _iter_records(path):
             yield lineno, obj, alphabet
 
 
-def _check_tokens(item: Item, alphabet: Alphabet | None, where: str) -> None:
-    if alphabet is None or item.tokens is None:
+def _check_tokens(tokens, alphabet: Alphabet | None, where: str) -> None:
+    if alphabet is None or tokens is None:
         return
     try:
-        alphabet.validate(item.tokens)
+        alphabet.validate(tokens)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
@@ -171,7 +182,8 @@ def load_triplets(path) -> tuple[list[Triplet], Alphabet | None]:
             y_model=item_from_json(obj["y_model"], f"{where} (y_model)"),
             group=_group_of(obj, where))
         for name in ("x", "y", "y_model"):
-            _check_tokens(getattr(triplet, name), alphabet, f"{where} ({name})")
+            _check_tokens(getattr(triplet, name).tokens, alphabet,
+                          f"{where} ({name})")
         records.append(triplet)
     if not records:
         raise DataError(f"{path}: empty dataset")
@@ -194,7 +206,7 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
         if not isinstance(samples_json, list):
             raise DataError(f"{where}: model_samples must be a list")
         samples = tuple(
-            item_from_json(s, f"{where} (model_samples[{i}])")
+            _sample_from_json(s, alphabet, f"{where} (model_samples[{i}])")
             for i, s in enumerate(samples_json))
         try:
             record = ReliabilityRecord(
@@ -205,10 +217,8 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
                 group=_group_of(obj, where))
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        _check_tokens(record.y, alphabet, f"{where} (y)")
-        _check_tokens(record.y_model, alphabet, f"{where} (y_model)")
-        for i, s in enumerate(record.model_samples):
-            _check_tokens(s, alphabet, f"{where} (model_samples[{i}])")
+        _check_tokens(record.y.tokens, alphabet, f"{where} (y)")
+        _check_tokens(record.y_model.tokens, alphabet, f"{where} (y_model)")
         records.append(record)
     if not records:
         raise DataError(f"{path}: empty dataset")
@@ -243,7 +253,8 @@ def write_reliability_records(path, records,
             fh.write(_alphabet_comment(alphabet) + "\n")
         for r in records:
             obj = {"y": item_to_json(r.y), "y_model": item_to_json(r.y_model),
-                   "model_samples": [item_to_json(s) for s in r.model_samples]}
+                   "model_samples": [{"tokens": list(s)}
+                                     for s in r.model_samples]}
             if r.x is not None:
                 obj["x"] = item_to_json(r.x)
             if r.group is not None:

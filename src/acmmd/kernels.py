@@ -12,6 +12,7 @@ Gram assembly is vectorized over padded integer encodings of the sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +58,8 @@ class KernelSpec:
         if kind in SEQUENCE_KINDS:
             lam = 1.0 if self.lam is None else float(self.lam)
             object.__setattr__(self, "lam", lam)
-            if not lam > 0:
-                raise ValueError("lambda must be positive")
+            if not 0 < lam < math.inf:
+                raise ValueError("lambda must be positive and finite")
             if self.sigma is not None or self.inner is not None:
                 raise ValueError(f"{kind} takes no sigma or inner kernel")
         elif kind in VECTOR_KINDS or kind in DISTRIBUTION_KINDS:
@@ -68,8 +69,8 @@ class KernelSpec:
                     raise ValueError(f"sigma must be a number or 'median', got {sigma!r}")
             else:
                 sigma = float(sigma)
-                if not sigma > 0:
-                    raise ValueError("sigma must be positive")
+                if not 0 < sigma < math.inf:
+                    raise ValueError("sigma must be positive and finite")
             object.__setattr__(self, "sigma", sigma)
             if self.lam is not None:
                 raise ValueError(f"{kind} takes no lambda")
@@ -323,34 +324,19 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
 
 
 def mmd_sq_unbiased(sample_a, sample_b, ky: KernelSpec) -> float:
-    """Unbiased estimate of the squared MMD between two samples.
+    """Unbiased estimate of the squared MMD between two token samples.
 
     Both within-sample terms average the kernel over ordered pairs i != j;
     the cross term averages over all pairs. The estimate may be negative.
 
     Args:
-        sample_a, sample_b: lists (length >= 2) of Items, token tuples, or
-            vectors compatible with `ky`.
-        ky: the kernel on individual outputs.
+        sample_a, sample_b: lists (length >= 2) of token tuples.
+        ky: the sequence kernel on individual outputs.
 
     Raises:
-        ValueError: fewer than 2 samples on either side.
+        ValueError: fewer than 2 samples on either side, or a non-sequence `ky`.
     """
-    na, nb = len(sample_a), len(sample_b)
-    if na < 2 or nb < 2:
-        raise ValueError("mmd_sq_unbiased needs at least 2 samples per side")
-    items = list(sample_a) + list(sample_b)
-    spec = resolve_spec(ky, items)
-    if spec.kind in SEQUENCE_KINDS:
-        codes, lengths = encode_sequences(_sequences_of(items))
-        return float(mmd_sq_matrix_encoded(codes, lengths, [na, nb], spec)[0, 1])
-    full = gram(spec, items)
-    kaa = full[:na, :na]
-    kbb = full[na:, na:]
-    kab = full[:na, na:]
-    term_a = (kaa.sum() - np.trace(kaa)) / (na * (na - 1))
-    term_b = (kbb.sum() - np.trace(kbb)) / (nb * (nb - 1))
-    return float(term_a + term_b - 2.0 * kab.sum() / (na * nb))
+    return float(mmd_sq_matrix([sample_a, sample_b], ky)[0, 1])
 
 
 def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
@@ -370,7 +356,7 @@ def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
     r_counts = np.asarray(r_counts, dtype=np.int64)
     n_rec = len(r_counts)
     if np.any(r_counts < 2):
-        raise ValueError("every record needs at least 2 model samples")
+        raise ValueError("every sample set needs at least 2 samples")
     if r_counts.sum() != len(codes):
         raise ValueError("r_counts do not match the number of sample rows")
     tilted = ky.kind == "tilted-exp-hamming"
@@ -414,11 +400,9 @@ def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
 
 
 def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
-    """Pairwise unbiased MMD^2 between token sample sets (list-level API)."""
-    seq_sets = [[tokens_of(s) for s in one] for one in sample_sets]
-    r_counts = np.array([len(one) for one in seq_sets], dtype=np.int64)
-    flat = [s for one in seq_sets for s in one]
-    codes, lengths = encode_sequences(flat)
+    """Pairwise unbiased MMD^2 between sets of token tuples."""
+    r_counts = np.array([len(one) for one in sample_sets], dtype=np.int64)
+    codes, lengths = encode_sequences([s for one in sample_sets for s in one])
     return mmd_sq_matrix_encoded(codes, lengths, r_counts, ky)
 
 
@@ -428,6 +412,7 @@ def distribution_gram(spec: KernelSpec, sample_sets
 
     Entries are e^(-MMD^2 / (2 sigma^2)) and may exceed 1 because the
     unbiased MMD^2 estimate can be negative; the matrix is not forced PSD.
+    A value that overflows raises ValueError rather than being clamped.
     A 'median' sigma resolves to the median of sqrt(max(MMD^2, 0)) over
     off-diagonal pairs (fallback 1.0 when that median is 0). The MMD^2
     diagonal is 0, so the diagonal values are 1.
@@ -448,5 +433,10 @@ def distribution_gram(spec: KernelSpec, sample_sets
             med = float(np.median(np.sqrt(np.clip(mmd[iu], 0.0, None))))
             sigma = med if med > 0 else 1.0
         spec = replace(spec, sigma=sigma)
-    values = np.exp(-mmd / (2.0 * spec.sigma_resolved ** 2))
+    with np.errstate(over="ignore"):
+        values = np.exp(-mmd / (2.0 * spec.sigma_resolved ** 2))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"khat overflows: sigma_p={spec.sigma_resolved!r} is too small "
+            f"for the smallest MMD^2 estimate, {float(mmd.min())!r}")
     return values, spec, mmd

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +20,16 @@ def _array_or_none(value, ndim: int) -> np.ndarray | None:
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entries in array field")
     return arr
+
+
+def _as_tokens(value) -> Tokens:
+    """`value` as a token tuple; tokens must be strings (str subclasses pass)."""
+    if isinstance(value, str):
+        raise ValueError("tokens must be a sequence of strings, not a string")
+    tokens = tuple(value)
+    if not all(map(isinstance, tokens, repeat(str))):
+        raise ValueError("tokens must be strings")
+    return tokens
 
 
 @dataclass(eq=False)
@@ -38,12 +49,7 @@ class Item:
 
     def __post_init__(self):
         if self.tokens is not None:
-            if isinstance(self.tokens, str):
-                raise ValueError("tokens must be a sequence of strings, "
-                                 "not a string")
-            self.tokens = tuple(self.tokens)
-            if not all(isinstance(t, str) for t in self.tokens):
-                raise ValueError("tokens must be strings")
+            self.tokens = _as_tokens(self.tokens)
         if self.scalar is not None:
             self.scalar = float(self.scalar)
             if not math.isfinite(self.scalar):
@@ -98,12 +104,12 @@ class ReliabilityRecord:
 
     y: Item
     y_model: Item
-    model_samples: tuple[Item, ...]
+    model_samples: tuple[Tokens, ...]
     x: Item | None = None
     group: str | None = None
 
     def __post_init__(self):
-        self.model_samples = tuple(self.model_samples)
+        self.model_samples = tuple(map(_as_tokens, self.model_samples))
         if len(self.model_samples) < 2:
             raise ValueError("reliability records need at least 2 model samples")
 

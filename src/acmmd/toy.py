@@ -58,8 +58,8 @@ class ToyPrior:
             weights = tuple(float(w) for w in self.weights)
             if len(weights) != len(atoms):
                 raise ValueError("weights and atoms differ in length")
-            if any(w <= 0 for w in weights):
-                raise ValueError("weights must be positive")
+            if not all(0 < w < math.inf for w in weights):
+                raise ValueError("weights must be positive and finite")
             total = math.fsum(weights)
             weights = tuple(w / total for w in weights)
         object.__setattr__(self, "weights", weights)
@@ -94,10 +94,10 @@ class ToyConfig:
             raise ValueError("delta_p must be nonnegative")
         if self.delta_p > min(self.prior.atoms):
             raise ValueError("delta_p exceeds the smallest atom")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
-        if not self.kx_sigma > 0:
-            raise ValueError("kx_sigma must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
+        if not 0 < self.kx_sigma < math.inf:
+            raise ValueError("kx_sigma must be positive and finite")
 
     @property
     def kx(self) -> KernelSpec:
@@ -213,7 +213,7 @@ def generate_reliability_records(config: ToyConfig, n: int,
         block = flat[i * inner_samples:(i + 1) * inner_samples]
         records.append(ReliabilityRecord(
             y=Item(tokens=ys[i]), y_model=Item(tokens=yms[i]),
-            model_samples=tuple(Item(tokens=s) for s in block),
+            model_samples=block,
             x=Item(scalar=p_arr[i]), group=f"p={p_arr[i]:g}"))
     return records
 

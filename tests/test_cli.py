@@ -6,10 +6,12 @@ import pytest
 
 from acmmd.cli import main
 from acmmd.estimator import acmmd_sq_from_triplets, h_matrix
-from acmmd.io import load_reliability_records, load_triplets
+from acmmd.io import (load_reliability_records, load_triplets,
+                      write_reliability_records)
 from acmmd.kernels import KernelSpec
 from acmmd.toy import (ToyConfig, ToyPrior, acmmd_rel_sq_exact,
-                       acmmd_sq_exact, generate_triplets, mmd_sq_models_exact)
+                       acmmd_sq_exact, generate_reliability_records,
+                       generate_triplets, mmd_sq_models_exact)
 
 
 def run(capsys, *argv):
@@ -95,6 +97,38 @@ class TestExitCodes:
                            "--config", str(cfg))
         assert code == 1
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize("data,argv", [
+        ("toy", ["test", "--kernel-y", "exp-hamming:lambda=inf"]),
+        ("toy", ["estimate", "--kernel-x", "gaussian:sigma=inf"]),
+        ("rel", ["rel-estimate", "--sigma-p", "inf"]),
+        ("rel", ["rel-test", "--kernel-y", "tilted-exp-hamming:lambda=inf"]),
+        (None, ["toy-exact", "--lam", "inf"]),
+        (None, ["toy-exact", "--kx-sigma", "inf"]),
+        (None, ["toy-exact", "--atoms", "0.3,0.4", "--weights", "1,inf"]),
+    ])
+    def test_non_finite_parameter_is_config_error(self, toy_data, rel_data,
+                                                  capsys, data, argv):
+        if data is not None:
+            path = toy_data if data == "toy" else rel_data
+            argv = argv + ["--input", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1, out
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--kernel-x", "dist-expmmd:sigma=1.0"],
+        ["test", "--kernel-y", "dist-expmmd:sigma=1.0"],
+        ["rel-estimate", "--kernel-y", "gaussian:sigma=1.0"],
+        ["rel-test", "--kernel-y", "dist-expmmd:sigma=1.0"],
+        ["sweep", "--family", "rel", "--kernel-y", "mean-gaussian"],
+    ])
+    def test_kernel_kind_checked_before_reading(self, tmp_path, capsys, argv):
+        # The input does not exist: exit 1 shows the check ran first.
+        code, _, err = run(capsys, *argv, "--input", "nope.jsonl",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert "config error: kernel_" in err
 
 
 class TestEstimate:
@@ -235,6 +269,20 @@ class TestRelCommands:
         args = ("rel-test", "--input", str(rel_data), "--sigma-p", "1.0",
                 "--bootstrap", "30", "--seed", "2")
         assert run_json(capsys, *args) == run_json(capsys, *args)
+
+    def test_overflowing_khat_is_data_error(self, tmp_path, capsys):
+        # The median sigma_p resolves to 0.0084 on this dataset, and
+        # exp(-MMD^2 / (2 sigma_p^2)) overflows for negative MMD^2.
+        path = tmp_path / "rel.jsonl"
+        write_reliability_records(path, generate_reliability_records(
+            ToyConfig(delta_p=0.25), 52, 8, 3563980978))
+        for command in ("rel-estimate", "rel-test"):
+            out = tmp_path / f"{command}.json"
+            code, _, err = run(capsys, command, "--input", str(path),
+                               "--out", str(out))
+            assert code == 2
+            assert "sigma_p=0.0083679" in err
+            assert not out.exists()
 
     def test_triplet_file_rejected_for_rel(self, toy_data, capsys):
         code, _, err = run(capsys, "rel-estimate", "--input", str(toy_data))

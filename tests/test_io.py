@@ -184,7 +184,7 @@ class TestReliabilityIo:
     def test_optional_x_round_trips(self, tmp_path):
         rec = ReliabilityRecord(
             y=Item(tokens=("A",)), y_model=Item(tokens=("B",)),
-            model_samples=[Item(tokens=()), Item(tokens=("A",))])
+            model_samples=[(), ("A",)])
         path = tmp_path / "rel.jsonl"
         write_reliability_records(path, [rec])
         loaded, _ = load_reliability_records(path)
@@ -222,6 +222,24 @@ class TestReliabilityIo:
         with pytest.raises(DataError, match=r"model_samples\[1\]"):
             load_reliability_records(path)
 
+    @pytest.mark.parametrize("sample", [
+        ["A"],                                   # not an object
+        {},                                      # no tokens
+        {"tokens": None},
+        {"tokens": ["A"], "scalar": 1.0},        # a field no kernel reads
+        {"tokens": ["A"], "embedding": [1.0]},
+        {"tokens": ["A", 1]},                    # non-string token
+        {"tokens": "AB"},                        # a string, not a list
+    ])
+    def test_malformed_sample_rejected_with_index(self, tmp_path, sample):
+        obj = {"y": {"tokens": []}, "y_model": {"tokens": []},
+               "model_samples": [{"tokens": []}, sample]}
+        path = tmp_path / "rel.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(DataError,
+                           match=r"rel\.jsonl:1 \(model_samples\[1\]\)"):
+            load_reliability_records(path)
+
 
 class TestWriteReport:
     def test_stable_formatting(self, tmp_path):
@@ -253,6 +271,14 @@ def alphabets(draw):
                     terminal=draw(st.none() | st.sampled_from(symbols)))
 
 
+def token_tuples(pool):
+    """Token tuples over `pool`; only () when the pool is empty (an
+    alphabet that holds nothing but its terminal)."""
+    if not pool:
+        return st.just(())
+    return st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+
+
 @st.composite
 def items(draw, pool):
     """An Item carrying a nonempty subset of the four representations."""
@@ -260,8 +286,7 @@ def items(draw, pool):
         ["tokens", "scalar", "embedding", "per_position"]), min_size=1))
     fields = {}
     if "tokens" in kinds:
-        fields["tokens"] = draw(st.lists(st.sampled_from(pool), max_size=4)) \
-            if pool else ()
+        fields["tokens"] = draw(token_tuples(pool))
     if "scalar" in kinds:
         fields["scalar"] = draw(_finite)
     if "embedding" in kinds:
@@ -285,7 +310,7 @@ def datasets(draw):
         min_size=1, max_size=3))
     reliability = draw(st.lists(st.builds(
         ReliabilityRecord, y=item, y_model=item,
-        model_samples=st.lists(item, min_size=2, max_size=3),
+        model_samples=st.lists(token_tuples(pool), min_size=2, max_size=3),
         x=st.none() | item, group=group), min_size=1, max_size=3))
     return alphabet, triplets, reliability
 

@@ -19,7 +19,8 @@ from conftest import (brute_exp_hamming, brute_gaussian,
 tokens_st = st.lists(st.sampled_from("AB"), max_size=6).map(tuple)
 
 
-_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                      allow_infinity=False)
 _sigmas = st.one_of(st.just("median"), _positive)
 _sequence_specs = st.builds(KernelSpec, st.sampled_from(SEQUENCE_KINDS),
                             lam=_positive)
@@ -82,6 +83,8 @@ class TestKernelSpec:
         "gaussian:sigma=0", "gaussian:sigma=-2", "gaussian:sigma=big",
         "gaussian:lambda=1", "exp-hamming:bogus=1", "exp-hamming:noequals",
         "dist-expmmd:inner=gaussian:sigma=1.0",
+        "exp-hamming:lambda=inf", "gaussian:sigma=inf",
+        "dist-expmmd:sigma=inf",
         # Former aliases and the length-penalty mode are no longer accepted.
         "exp-hamming:lambda=2:mode=terminal-padded",
         "tilted-exp-hamming:lambda=0.5:mode=length-penalty",
@@ -287,6 +290,12 @@ class TestMmd:
         with pytest.raises(ValueError, match="2 samples"):
             mmd_sq_unbiased([("A",)], [("A",), ("B",)],
                             KernelSpec("exp-hamming"))
+
+    def test_rejects_vector_kernel(self):
+        # Model samples are token tuples, so the MMD needs a sequence kernel.
+        with pytest.raises(ValueError, match="sequence kernel"):
+            mmd_sq_unbiased([("A",), ("B",)], [("A",), ("B",)],
+                            KernelSpec("gaussian", sigma=1.0))
 
     def test_identical_distributions_mean_near_zero(self, rng):
         # Unbiasedness sanity: same-law samples average near 0.

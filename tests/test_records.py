@@ -73,11 +73,11 @@ class TestRecords:
     def test_reliability_needs_two_samples(self):
         with pytest.raises(ValueError, match="2"):
             ReliabilityRecord(y=Item(tokens=()), y_model=Item(tokens=()),
-                              model_samples=[Item(tokens=())])
+                              model_samples=[()])
 
     def test_reliability_samples_stored_as_tuple(self):
         rec = ReliabilityRecord(
             y=Item(tokens=()), y_model=Item(tokens=()),
-            model_samples=[Item(tokens=()), Item(tokens=("A",))])
-        assert isinstance(rec.model_samples, tuple)
+            model_samples=[[], ["A"]])
+        assert rec.model_samples == ((), ("A",))
         assert rec.x is None

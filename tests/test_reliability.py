@@ -8,6 +8,7 @@ from acmmd.kernels import KernelSpec, distribution_gram
 from acmmd.records import Item, ReliabilityRecord
 from acmmd.reliability import (acmmd_rel_sq, acmmd_rel_test,
                                default_inner_samples, rel_h_matrix)
+from acmmd.toy import ToyConfig, generate_reliability_records
 
 from conftest import brute_exp_hamming, brute_mmd_sq, random_tokens
 
@@ -23,8 +24,7 @@ def random_records(rng, n, r=4, max_len=4):
         out.append(ReliabilityRecord(
             y=Item(tokens=random_tokens(rng, max_len)),
             y_model=Item(tokens=random_tokens(rng, max_len)),
-            model_samples=[Item(tokens=random_tokens(rng, max_len))
-                           for _ in range(r)],
+            model_samples=[random_tokens(rng, max_len) for _ in range(r)],
         ))
     return out
 
@@ -48,7 +48,7 @@ class TestKhatMatrix:
                         inner=KernelSpec("exp-hamming", lam=1.0))
         values, resolved, mmd = khat_gram(records, kp)
         assert resolved.sigma == 0.9
-        k_fn = lambda a, b: brute_exp_hamming(a.tokens, b.tokens, 1.0)
+        k_fn = lambda a, b: brute_exp_hamming(a, b, 1.0)
         for i in range(5):
             for j in range(5):
                 if i == j:
@@ -84,18 +84,19 @@ class TestRelHMatrix:
             toks = lambda: random_tokens(rng, 4)
             records.append(ReliabilityRecord(
                 y=Item(tokens=toks()), y_model=Item(tokens=toks()),
-                model_samples=[Item(tokens=toks()) for _ in range(5)]))
+                model_samples=[toks() for _ in range(5)]))
         ky = KernelSpec("exp-hamming", lam=1.0)
         kp = KernelSpec("dist-expmmd", sigma=1.0, inner=ky)
         fast = rel_h_matrix(records, kp, ky)
 
-        k_fn = lambda a, b: brute_exp_hamming(a.tokens, b.tokens, 1.0)
+        k_seq = lambda a, b: brute_exp_hamming(a, b, 1.0)
+        k_fn = lambda a, b: k_seq(a.tokens, b.tokens)
         for i, ri in enumerate(records):
             for j, rj in enumerate(records):
                 if i == j:
                     continue
                 khat = math.exp(-brute_mmd_sq(ri.model_samples,
-                                              rj.model_samples, k_fn) / 2.0)
+                                              rj.model_samples, k_seq) / 2.0)
                 g = (k_fn(ri.y_model, rj.y_model) + k_fn(ri.y, rj.y)
                      - k_fn(ri.y_model, rj.y) - k_fn(ri.y, rj.y_model))
                 assert fast.values[i, j] == pytest.approx(
@@ -141,10 +142,20 @@ class TestRelStatistic:
             toks = random_tokens(rng, 3)
             records.append(ReliabilityRecord(
                 y=Item(tokens=toks), y_model=Item(tokens=toks),
-                model_samples=[Item(tokens=random_tokens(rng, 3))
-                               for _ in range(4)]))
+                model_samples=[random_tokens(rng, 3) for _ in range(4)]))
         assert acmmd_rel_sq(records, KernelSpec("exp-hamming"),
                             sigma=1.0) == 0.0
+
+
+class TestOverflow:
+    def test_tiny_median_sigma_raises(self):
+        # The median sigma_p resolves to 0.0084, and exp(-MMD^2 /
+        # (2 sigma_p^2)) overflows for the negative MMD^2 estimates: an
+        # error, not a nan statistic.
+        records = generate_reliability_records(ToyConfig(delta_p=0.25), 52,
+                                               8, 3563980978)
+        with pytest.raises(ValueError, match=r"sigma_p=0\.0083679.*-0\.14"):
+            acmmd_rel_sq(records, KernelSpec("exp-hamming"))
 
 
 class TestRelTest:
@@ -161,7 +172,7 @@ class TestRelTest:
         records = random_records(rng, 3, r=4)
         records.append(ReliabilityRecord(
             y=Item(tokens=("A",)), y_model=Item(tokens=("B",)),
-            model_samples=[Item(tokens=random_tokens(rng)) for _ in range(7)]))
+            model_samples=[random_tokens(rng) for _ in range(7)]))
         report = acmmd_rel_test(records, KernelSpec("exp-hamming"),
                                 sigma=1.0, b_count=20, seed=0)
         assert report.extra["inner_samples"] == "4..7"
