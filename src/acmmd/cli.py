@@ -309,10 +309,13 @@ def sweep(input_path, out_path, config_path, **flags):
     workers_v = config_positive_int(cfg, "workers")
     sigma = config_sigma_p(cfg)
     inner = config_optional_positive_int(cfg, "inner_samples", minimum=2)
+    subsample = config_optional_positive_int(cfg, "subsample_n", minimum=2)
     timings_v = bool(cfg["timings"])
 
     if input_path is not None:
         if family_v == "rel":
+            if "kernel_x" in explicit:
+                raise ConfigError("kernel_x does not apply to rel sweeps")
             ky = config_rel_kernel_y(cfg)
             records, _ = load_reliability_records(input_path)
             records = _trim_model_samples(records, inner)
@@ -322,9 +325,7 @@ def sweep(input_path, out_path, config_path, **flags):
             kx = config_kernel(cfg, "kernel_x")
             records, _ = load_triplets(input_path)
         rows = run_group_sweep(
-            records, family_v, kx, ky, n_seeds_v,
-            subsample_n=config_optional_positive_int(cfg, "subsample_n",
-                                                     minimum=2),
+            records, family_v, kx, ky, n_seeds_v, subsample_n=subsample,
             alpha=alpha_v, bootstrap=b_count, sigma_p=sigma, seed=seed_v,
             workers=workers_v, timings=timings_v)
         group_mode = True
@@ -334,7 +335,7 @@ def sweep(input_path, out_path, config_path, **flags):
                 raise ConfigError(
                     f"{key} applies to dataset sweeps; toy sweeps always use "
                     "the toy process's own kernels (set lam and kx_sigma)")
-        if cfg["subsample_n"] is not None:
+        if subsample is not None:
             raise ConfigError("subsample_n needs --input")
         toy = config_toy(cfg)
         dps = config_delta_p_values(cfg)

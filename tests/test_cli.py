@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acmmd
 from acmmd.cli import main
 from acmmd.estimator import acmmd_sq_from_triplets, h_matrix
 from acmmd.io import (load_reliability_records, load_triplets,
@@ -129,6 +134,26 @@ class TestExitCodes:
                            "--out", str(tmp_path / "out.csv"))
         assert code == 1
         assert "config error: kernel_" in err
+
+    @pytest.mark.parametrize("key,argv", [
+        ("kernel_x", ["--family", "rel", "--kernel-x", "bogus"]),
+        ("subsample_n", ["--subsample-n", "1"]),
+    ])
+    def test_sweep_config_checked_before_reading(self, tmp_path, capsys, key,
+                                                 argv):
+        code, _, err = run(capsys, "sweep", *argv, "--input", "nope.jsonl",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert f"config error: {key}" in err
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(acmmd.__file__).resolve().parent.parent)
+    probe = "import sys, acmmd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 class TestEstimate:

@@ -1,7 +1,12 @@
+import ctypes
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from acmmd import sweep
 from acmmd.errors import ConfigError, DataError
 from acmmd.kernels import KernelSpec
 from acmmd.sweep import (SweepRow, run_group_sweep, run_toy_sweep,
@@ -162,3 +167,39 @@ class TestCsv:
     def test_workers_validation(self):
         with pytest.raises(ConfigError, match="workers"):
             run_toy_sweep(toy(), [4], [0.0], 1, bootstrap=20, workers=0)
+
+
+def _blas_threads() -> int:
+    get = sweep._openblas_function("get_num_threads")
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    return get()
+
+
+class TestWorkerBlasThreads:
+    """Run `_init_worker` in a forked pool worker, as a sweep does."""
+
+    @pytest.fixture(autouse=True)
+    def needs_openblas(self):
+        if sweep._openblas_function("get_num_threads") is None:
+            pytest.skip("numpy's OpenBLAS exports no get_num_threads symbol")
+
+    def worker_threads(self, workers: int) -> int:
+        with ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork"),
+                initializer=sweep._init_worker,
+                initargs=(None, workers)) as pool:
+            return pool.submit(_blas_threads).result(timeout=60)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_takes_its_cpu_share(self, monkeypatch, workers):
+        for var in sweep._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = _blas_threads()
+        cpus = len(os.sched_getaffinity(0))
+        assert self.worker_threads(workers) == max(1, cpus // workers)
+        assert _blas_threads() == before
+
+    def test_user_thread_variable_is_left_alone(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert self.worker_threads(2) == _blas_threads()
