@@ -65,13 +65,14 @@ def h_matrix_from_grams(kx_gram: np.ndarray, joint: np.ndarray,
     """Assemble h = kx_gram * g from the input Gram and the output Gram.
 
     `joint` is the (2N, 2N) output Gram over [model outputs; data outputs],
-    whose four blocks give g = kmm + kyy - kmy - kmy^T at once.
+    whose four blocks give g = (kmm + kyy) - (kmy + kmy^T) at once. Both
+    sums are symmetric, so g and h are exactly symmetric.
     """
     n = len(kx_gram)
     kmm = joint[:n, :n]
     kyy = joint[n:, n:]
     kmy = joint[:n, n:]
-    g = kmm + kyy - kmy - kmy.T
+    g = (kmm + kyy) - (kmy + kmy.T)
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
 
 

@@ -7,7 +7,11 @@ Three families are provided, all addressed through `KernelSpec`:
 * a distribution kernel: exponentiated negative squared MMD between sample
   sets, with the MMD estimated unbiasedly from the samples.
 
-Gram assembly is vectorized over padded integer encodings of the sequences.
+Every sequence kernel value comes from one path: the sorted distinct token
+tuples are encoded once (`_vocabulary`), `sequence_gram` turns the encoded
+rows into kernel values, and the result is either gathered back to the
+inputs (`gram`) or summed into C K C^T over per-record counts C
+(`mmd_sq_matrix`).
 """
 
 from __future__ import annotations
@@ -174,36 +178,35 @@ def hamming_gram(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return np.subtract(w, out, out=out)
 
 
-def _unique_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct encoded row, and each row's vocabulary index."""
-    n, w = codes.shape
-    if w == 0:
-        return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
-    flat = np.ascontiguousarray(codes)
-    rows = flat.view(np.dtype((np.void, flat.dtype.itemsize * w))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse
+def _vocabulary(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode the distinct token tuples of `seqs` in sorted order.
+
+    Returns:
+        (codes, lengths, inverse): the encoding of `sorted(set(seqs))`, and
+        each input tuple's row in it. The order does not depend on the order
+        of `seqs`.
+    """
+    distinct = sorted(set(seqs))
+    row_of = {s: i for i, s in enumerate(distinct)}
+    codes, lengths = encode_sequences(distinct)
+    return codes, lengths, np.array([row_of[s] for s in seqs], dtype=np.int64)
 
 
 def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b
                   ) -> np.ndarray:
     """Gram matrix of a sequence kernel over jointly encoded inputs.
 
-    Distances are computed between distinct rows only and gathered back to
-    full size.
+    Every row pair is evaluated; callers pass distinct rows (see `gram`).
     """
     if spec.kind not in SEQUENCE_KINDS:
         raise ValueError(f"not a sequence kernel: {spec.kind}")
-    first_a, inv_a = _unique_rows(codes_a)
-    first_b, inv_b = (first_a, inv_a) if codes_b is codes_a \
-        else _unique_rows(codes_b)
+    tilted = spec.kind == "tilted-exp-hamming"
+    if tilted and (np.any(lengths_a == 0) or np.any(lengths_b == 0)):
+        raise ValueError("tilted-exp-hamming is invalid for empty sequences")
     lut = np.exp(-spec.lam * np.arange(codes_a.shape[1] + 1, dtype=np.float64))
-    values = lut[hamming_gram(codes_a[first_a], codes_b[first_b])]
-    values = values[np.ix_(inv_a, inv_b)]
-    if spec.kind == "tilted-exp-hamming":
-        if np.any(lengths_a == 0) or np.any(lengths_b == 0):
-            raise ValueError("tilted-exp-hamming is invalid for empty sequences")
-        values = values / np.outer(lengths_a, lengths_b)
+    values = lut[hamming_gram(codes_a, codes_b)]
+    if tilted:
+        values /= np.outer(lengths_a, lengths_b)
     return values
 
 
@@ -267,12 +270,15 @@ def median_pairwise_distance(vectors: np.ndarray) -> float:
     The 1.0 fallback covers both a zero median (all points identical) and
     fewer than two points.
     """
-    n = len(vectors)
+    return _median_heuristic(cdist(vectors, vectors, "euclidean"))
+
+
+def _median_heuristic(dists: np.ndarray) -> float:
+    """Median of a square distance matrix over i < j; 1.0 when degenerate."""
+    n = len(dists)
     if n < 2:
         return 1.0
-    dists = cdist(vectors, vectors, "euclidean")
-    iu = np.triu_indices(n, 1)
-    med = float(np.median(dists[iu]))
+    med = float(np.median(dists[np.triu_indices(n, 1)]))
     return med if med > 0 else 1.0
 
 
@@ -306,12 +312,12 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
     spec = resolve_spec(spec, items_a, items_b)
     if spec.kind in SEQUENCE_KINDS:
         seqs_a = _sequences_of(items_a)
-        seqs_b = seqs_a if items_b is None else _sequences_of(items_b)
-        codes, lengths = encode_sequences(seqs_a + (seqs_b if items_b is not None else []))
-        if items_b is None:
-            return sequence_gram(spec, codes, lengths, codes, lengths)
-        na = len(seqs_a)
-        return sequence_gram(spec, codes[:na], lengths[:na], codes[na:], lengths[na:])
+        seqs_b = [] if items_b is None else _sequences_of(items_b)
+        codes, lengths, inv = _vocabulary(seqs_a + seqs_b)
+        inv_a = inv[:len(seqs_a)]
+        inv_b = inv_a if items_b is None else inv[len(seqs_a):]
+        values = sequence_gram(spec, codes, lengths, codes, lengths)
+        return values[np.ix_(inv_a, inv_b)]
     vec_a = _vectors_of(items_a, spec.kind)
     vec_b = vec_a if items_b is None else _vectors_of(items_b, spec.kind)
     if vec_a.shape[1] != vec_b.shape[1]:
@@ -339,71 +345,53 @@ def mmd_sq_unbiased(sample_a, sample_b, ky: KernelSpec) -> float:
     return float(mmd_sq_matrix([sample_a, sample_b], ky)[0, 1])
 
 
-def mmd_sq_matrix_encoded(codes: np.ndarray, lengths: np.ndarray,
-                          r_counts: np.ndarray, ky: KernelSpec) -> np.ndarray:
-    """Pairwise unbiased MMD^2 between consecutive blocks of encoded samples.
+def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
+    """Pairwise unbiased MMD^2 between sets of token tuples.
 
-    The flat `codes` rows are grouped into records by `r_counts` (record i
-    owns the next r_counts[i] rows). Work is routed through the deduplicated
-    vocabulary of distinct rows: with counts matrix C and vocabulary Gram K,
-    every cross sum is an entry of C K C^T, which keeps the cost near
-    O(|vocab|^2) instead of O((sum R_i)^2).
+    Work is routed through the vocabulary of distinct samples: with counts
+    matrix C (records by vocabulary) and vocabulary Gram K, every cross sum
+    is an entry of C K C^T, which keeps the cost near O(|vocab|^2) instead
+    of O((sum R_i)^2).
 
-    The diagonal is 0; no statistic reads it.
+    The matrix is exactly symmetric with a zero diagonal; no statistic
+    reads the diagonal.
     """
     if ky.kind not in SEQUENCE_KINDS:
         raise ValueError("mmd matrix needs a sequence kernel")
-    r_counts = np.asarray(r_counts, dtype=np.int64)
+    r_counts = np.array([len(one) for one in sample_sets], dtype=np.int64)
     n_rec = len(r_counts)
     if np.any(r_counts < 2):
         raise ValueError("every sample set needs at least 2 samples")
-    if r_counts.sum() != len(codes):
-        raise ValueError("r_counts do not match the number of sample rows")
-    tilted = ky.kind == "tilted-exp-hamming"
-    if tilted and np.any(lengths == 0):
-        raise ValueError("tilted-exp-hamming is invalid for empty sequences")
-
+    codes, lengths, inv = _vocabulary([tuple(s) for one in sample_sets for s in one])
+    v = len(codes)
     rec_ids = np.repeat(np.arange(n_rec), r_counts)
-    first, inv = _unique_rows(codes)
-    vocab = codes[first]
-    v = len(vocab)
     counts = scipy.sparse.coo_matrix(
-        (np.ones(len(codes), dtype=np.float64), (rec_ids, inv)),
+        (np.ones(len(inv), dtype=np.float64), (rec_ids, inv)),
         shape=(n_rec, v)).tocsc()
 
-    lut = np.exp(-ky.lam * np.arange(codes.shape[1] + 1, dtype=np.float64))
-    inv_len = 1.0 / lengths[first] if tilted else None
-
-    # The vocabulary Gram K is symmetric, so C K C^T is the sum over row
-    # chunks R of C[:, R] (C K[R, :]^T)^T. A chunk's float32 match counts,
-    # int64 distances, float64 kernel values and their temporaries stay
-    # within 64 B per entry.
+    # K is symmetric, so C K C^T is the sum over row chunks R of
+    # C[:, R] (C K[R, :]^T)^T. A chunk's float32 match counts, int64
+    # distances, float64 kernel values and their temporaries stay within
+    # 64 B per entry.
     rows_per = max(1, _CHUNK_BYTES // (64 * max(1, v)))
     cross = np.zeros((n_rec, n_rec), dtype=np.float64)
     for start in range(0, v, rows_per):
         rows = slice(start, min(v, start + rows_per))
-        kernel_chunk = lut[hamming_gram(vocab[rows], vocab)]
-        if tilted:
-            kernel_chunk *= np.outer(inv_len[rows], inv_len)
+        kernel_chunk = sequence_gram(ky, codes[rows], lengths[rows], codes, lengths)
         cross += counts[:, rows] @ (counts @ kernel_chunk.T).T
 
-    if tilted:
-        self_sums = np.bincount(rec_ids, weights=1.0 / lengths ** 2,
+    if ky.kind == "tilted-exp-hamming":
+        self_sums = np.bincount(rec_ids, weights=1.0 / lengths[inv] ** 2,
                                 minlength=n_rec)
     else:
         self_sums = r_counts.astype(np.float64)
     within = (np.diag(cross) - self_sums) / (r_counts * (r_counts - 1.0))
 
     mmd = within[:, None] + within[None, :] - 2.0 * cross / np.outer(r_counts, r_counts)
-    np.fill_diagonal(mmd, 0.0)
+    # C K C^T rounds (i, j) and (j, i) differently; mirror the upper triangle.
+    mmd = np.triu(mmd, 1)
+    mmd += mmd.T
     return mmd
-
-
-def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
-    """Pairwise unbiased MMD^2 between sets of token tuples."""
-    r_counts = np.array([len(one) for one in sample_sets], dtype=np.int64)
-    codes, lengths = encode_sequences([s for one in sample_sets for s in one])
-    return mmd_sq_matrix_encoded(codes, lengths, r_counts, ky)
 
 
 def distribution_gram(spec: KernelSpec, sample_sets
@@ -423,16 +411,9 @@ def distribution_gram(spec: KernelSpec, sample_sets
     if spec.kind not in DISTRIBUTION_KINDS:
         raise ValueError(f"not a distribution kernel: {spec.kind}")
     mmd = mmd_sq_matrix(sample_sets, spec.inner)
-    sigma = spec.sigma
-    if sigma == "median":
-        n = len(mmd)
-        if n < 2:
-            sigma = 1.0
-        else:
-            iu = np.triu_indices(n, 1)
-            med = float(np.median(np.sqrt(np.clip(mmd[iu], 0.0, None))))
-            sigma = med if med > 0 else 1.0
-        spec = replace(spec, sigma=sigma)
+    if spec.sigma == "median":
+        spec = replace(spec, sigma=_median_heuristic(
+            np.sqrt(np.clip(mmd, 0.0, None))))
     with np.errstate(over="ignore"):
         values = np.exp(-mmd / (2.0 * spec.sigma_resolved ** 2))
     if not np.all(np.isfinite(values)):

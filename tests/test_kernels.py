@@ -224,14 +224,20 @@ class TestGrams:
         assert vec_gram[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_gram_cross_blocks(self, rng):
-        a = [random_tokens(rng) for _ in range(4)]
-        b = [random_tokens(rng) for _ in range(6)]
-        cross = gram(KernelSpec("exp-hamming", lam=0.5), a, b)
-        assert cross.shape == (4, 6)
-        for i in range(4):
-            for j in range(6):
-                assert cross[i, j] == pytest.approx(
-                    brute_exp_hamming(a[i], b[j], 0.5), rel=1e-12)
+        # Rows repeat within each list and across the two.
+        pool = [random_tokens(rng) for _ in range(4)]
+        for kind, scalar_fn in [("exp-hamming", brute_exp_hamming),
+                                ("tilted-exp-hamming", brute_tilted)]:
+            if kind == "tilted-exp-hamming":
+                pool = [s if s else ("A",) for s in pool]
+            a = [pool[i] for i in rng.integers(0, 4, 7)]
+            b = [pool[i] for i in rng.integers(0, 4, 9)]
+            cross = gram(KernelSpec(kind, lam=0.5), a, b)
+            assert cross.shape == (7, 9)
+            for i in range(7):
+                for j in range(9):
+                    assert cross[i, j] == pytest.approx(
+                        scalar_fn(a[i], b[j], 0.5), rel=1e-12)
 
     def test_mean_gaussian_pools_per_position(self):
         items = [Item(per_position=[[0.0, 0.0], [2.0, 2.0]]),
@@ -327,13 +333,19 @@ class TestMmdMatrix:
                 assert matrix[i, j] == pytest.approx(
                     mmd_sq_unbiased(sets[i], sets[j], ky),
                     rel=1e-12, abs=1e-12)
-        assert np.allclose(matrix, matrix.T, atol=1e-15)
+        assert np.array_equal(matrix, matrix.T)
 
     def test_small_records_get_zero_diagonal(self):
         sets = [[("A",), ("B",)], [("A",), ("A",), ("B",)]]
         matrix = mmd_sq_matrix(sets, KernelSpec("exp-hamming"))
         assert matrix[0, 0] == 0.0
         assert matrix[1, 1] == 0.0
+
+    def test_all_empty_samples_give_zero(self):
+        # Every sample is (), so the encoded width is 0.
+        sets = [[(), ()], [(), (), ()], [(), ()]]
+        matrix = mmd_sq_matrix(sets, KernelSpec("exp-hamming"))
+        assert np.array_equal(matrix, np.zeros((3, 3)))
 
     def test_direct_fallback_path_matches(self, rng):
         # A wide alphabet: 200 symbols plus the pad code.
