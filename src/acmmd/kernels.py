@@ -11,7 +11,7 @@ Every sequence kernel value comes from one path: the sorted distinct token
 tuples are encoded once (`_vocabulary`), `sequence_gram` turns the encoded
 rows into kernel values, and the result is either gathered back to the
 inputs (`gram`) or summed into C K C^T over per-record counts C
-(`mmd_sq_matrix`).
+(`mmd_sq_matrix`, in upper-triangle row panels within `_CHUNK_BYTES`).
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ import scipy.sparse
 from scipy.spatial.distance import cdist
 
 from .records import Item, tokens_of
-from .sequences import Tokens, encode_sequences
+from .sequences import encode_sequences
 
 SEQUENCE_KINDS = ("exp-hamming", "tilted-exp-hamming")
 VECTOR_KINDS = ("gaussian", "mean-gaussian")
 DISTRIBUTION_KINDS = ("dist-expmmd",)
 
-# Soft cap on temporary buffers allocated by chunked Gram assembly.
-_CHUNK_BYTES = 1 << 26
+# Byte budget of an MMD^2 panel's temporaries, and of indicators built once.
+_CHUNK_BYTES = 1 << 24
 # Indicator columns per Hamming matrix product: deep products make fewer
 # passes over the output, and the indicators stay at 4 KiB per row.
 _GEMM_DEPTH = 1024
@@ -150,15 +150,15 @@ def _parse_float(value: str, name: str) -> float:
 # Encoded sequence Grams
 
 
-def hamming_gram(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+def hamming_gram(codes_a, codes_b, indicators=None) -> np.ndarray:
     """Pairwise padded Hamming distances between encoded rows.
 
     A distance is the width minus the matching positions, and the matches
     are sum_s (codes_a == s) @ (codes_b == s)^T over the codes s of
-    `codes_a`, pad included. The indicators of a group of codes sit side
-    by side, so each float32 GEMM sums over about `_GEMM_DEPTH` columns.
-    The products are exact because every count is at most the width,
-    below 2^24.
+    `codes_a`, pad included, exact in float32 since every count is at
+    most the width, below 2^24. The indicators of a group of codes sit
+    side by side, so each GEMM sums over about `_GEMM_DEPTH` columns;
+    `indicators` may give each group's (codes_a, codes_b) blocks prebuilt.
     """
     n, w = codes_a.shape
     m, w2 = codes_b.shape
@@ -166,16 +166,23 @@ def hamming_gram(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
         raise ValueError("encoded widths differ; encode jointly")
     if w >= 1 << 24:
         raise ValueError("encoded width too large for exact float32 counts")
-    codes = np.unique(codes_a)
-    step = max(1, _GEMM_DEPTH // max(1, w))
+    if indicators is None:
+        codes = np.unique(codes_a)
+        indicators = zip(_indicators(codes_a, codes), _indicators(codes_b, codes))
     matches = np.zeros((n, m), dtype=np.float32)
-    for start in range(0, len(codes), step):
-        group = codes[start:start + step, None]
-        depth = len(group) * w
-        matches += ((codes_a[:, None] == group).reshape(n, depth).astype(np.float32)
-                    @ (codes_b[:, None] == group).reshape(m, depth).astype(np.float32).T)
+    for block_a, block_b in indicators:
+        matches += block_a @ block_b.T
     out = matches.astype(np.int64)
     return np.subtract(w, out, out=out)
+
+
+def _indicators(rows: np.ndarray, codes: np.ndarray):
+    """Yield the float32 indicators of `rows` for `codes`, group by group."""
+    n, w = rows.shape
+    step = max(1, _GEMM_DEPTH // max(1, w))
+    for start in range(0, len(codes), step):
+        group = codes[start:start + step, None]
+        yield (rows[:, None] == group).reshape(n, len(group) * w).astype(np.float32)
 
 
 def _vocabulary(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,8 +199,8 @@ def _vocabulary(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codes, lengths, np.array([row_of[s] for s in seqs], dtype=np.int64)
 
 
-def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b
-                  ) -> np.ndarray:
+def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b,
+                  indicators=None) -> np.ndarray:
     """Gram matrix of a sequence kernel over jointly encoded inputs.
 
     Every row pair is evaluated; callers pass distinct rows (see `gram`).
@@ -204,7 +211,7 @@ def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b
     if tilted and (np.any(lengths_a == 0) or np.any(lengths_b == 0)):
         raise ValueError("tilted-exp-hamming is invalid for empty sequences")
     lut = np.exp(-spec.lam * np.arange(codes_a.shape[1] + 1, dtype=np.float64))
-    values = lut[hamming_gram(codes_a, codes_b)]
+    values = lut[hamming_gram(codes_a, codes_b, indicators)]
     if tilted:
         values /= np.outer(lengths_a, lengths_b)
     return values
@@ -223,10 +230,6 @@ def gaussian_gram(vectors_a: np.ndarray, vectors_b: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Item extraction and the median heuristic
-
-
-def _sequences_of(items) -> list[Tokens]:
-    return [tokens_of(it) for it in items]
 
 
 def mean_pool(per_position) -> np.ndarray:
@@ -311,8 +314,8 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
         raise ValueError("dist-expmmd Grams come from distribution_gram")
     spec = resolve_spec(spec, items_a, items_b)
     if spec.kind in SEQUENCE_KINDS:
-        seqs_a = _sequences_of(items_a)
-        seqs_b = [] if items_b is None else _sequences_of(items_b)
+        seqs_a = list(map(tokens_of, items_a))
+        seqs_b = [] if items_b is None else list(map(tokens_of, items_b))
         codes, lengths, inv = _vocabulary(seqs_a + seqs_b)
         inv_a = inv[:len(seqs_a)]
         inv_b = inv_a if items_b is None else inv[len(seqs_a):]
@@ -351,10 +354,10 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
     Work is routed through the vocabulary of distinct samples: with counts
     matrix C (records by vocabulary) and vocabulary Gram K, every cross sum
     is an entry of C K C^T, which keeps the cost near O(|vocab|^2) instead
-    of O((sum R_i)^2).
+    of O((sum R_i)^2); K is evaluated in upper-triangle row panels.
 
-    The matrix is exactly symmetric with a zero diagonal; no statistic
-    reads the diagonal.
+    The matrix is exactly symmetric with a zero diagonal (no statistic
+    reads it), and reordering the sample sets reorders it exactly.
     """
     if ky.kind not in SEQUENCE_KINDS:
         raise ValueError("mmd matrix needs a sequence kernel")
@@ -369,16 +372,24 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
         (np.ones(len(inv), dtype=np.float64), (rec_ids, inv)),
         shape=(n_rec, v)).tocsc()
 
-    # K is symmetric, so C K C^T is the sum over row chunks R of
-    # C[:, R] (C K[R, :]^T)^T. A chunk's float32 match counts, int64
-    # distances, float64 kernel values and their temporaries stay within
-    # 64 B per entry.
-    rows_per = max(1, _CHUNK_BYTES // (64 * max(1, v)))
+    # C K C^T = X + X^T, X summing C[:, P] K[P, s:] C[:, s:]^T with K[P, P]
+    # halved over row panels P = [s, e). A panel holds at most 16 bytes per
+    # entry at once (README § Kernels), and 8 per record and row.
+    present = np.unique(codes)
+    blocks = (list(_indicators(codes, present))
+              if 4 * codes.size * len(present) <= _CHUNK_BYTES else None)
     cross = np.zeros((n_rec, n_rec), dtype=np.float64)
-    for start in range(0, v, rows_per):
-        rows = slice(start, min(v, start + rows_per))
-        kernel_chunk = sequence_gram(ky, codes[rows], lengths[rows], codes, lengths)
-        cross += counts[:, rows] @ (counts @ kernel_chunk.T).T
+    rows = max(1, _CHUNK_BYTES // (16 * v + 8 * n_rec))
+    for start in range(0, v, rows):
+        stop = min(v, start + rows)
+        kernel = sequence_gram(
+            ky, codes[start:stop], lengths[start:stop], codes[start:],
+            lengths[start:], None if blocks is None else [
+                (block[start:stop], block[start:]) for block in blocks])
+        kernel[:, :stop - start] *= 0.5
+        cross += counts[:, start:stop] @ (kernel @ counts[:, start:].T)
+    del blocks  # so that the assembly below does not add to the loop's peak
+    cross += cross.T
 
     if ky.kind == "tilted-exp-hamming":
         self_sums = np.bincount(rec_ids, weights=1.0 / lengths[inv] ** 2,
@@ -388,9 +399,7 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
     within = (np.diag(cross) - self_sums) / (r_counts * (r_counts - 1.0))
 
     mmd = within[:, None] + within[None, :] - 2.0 * cross / np.outer(r_counts, r_counts)
-    # C K C^T rounds (i, j) and (j, i) differently; mirror the upper triangle.
-    mmd = np.triu(mmd, 1)
-    mmd += mmd.T
+    np.fill_diagonal(mmd, 0.0)
     return mmd
 
 

@@ -28,6 +28,7 @@ class Alphabet:
             raise ValueError("alphabet symbols must be distinct")
         if self.terminal is not None and self.terminal not in self.symbols:
             raise ValueError(f"terminal {self.terminal!r} is not an alphabet symbol")
+        object.__setattr__(self, "_allowed", frozenset(self.sequence_symbols))
 
     @property
     def sequence_symbols(self) -> tuple[str, ...]:
@@ -35,12 +36,12 @@ class Alphabet:
         return tuple(s for s in self.symbols if s != self.terminal)
 
     def validate(self, tokens: Iterable[str]) -> None:
-        """Raise ValueError if any token is the terminal or a foreign symbol."""
-        allowed = set(self.sequence_symbols)
+        """Raise ValueError at the first token that is the terminal or foreign."""
+        allowed = self._allowed
         for tok in tokens:
-            if tok == self.terminal:
-                raise ValueError(f"terminal symbol {tok!r} inside a sequence")
             if tok not in allowed:
+                if tok == self.terminal:
+                    raise ValueError(f"terminal symbol {tok!r} inside a sequence")
                 raise ValueError(f"token {tok!r} not in alphabet")
 
 

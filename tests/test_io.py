@@ -222,6 +222,21 @@ class TestReliabilityIo:
         with pytest.raises(DataError, match=r"model_samples\[1\]"):
             load_reliability_records(path)
 
+    @pytest.mark.parametrize("tokens,message", [
+        (["A", "STOP", "Z"], "terminal symbol 'STOP' inside a sequence"),
+        (["A", "Z", "STOP"], "token 'Z' not in alphabet"),
+    ])
+    def test_sample_error_names_first_bad_token(self, tmp_path, tokens,
+                                                message):
+        obj = {"y": {"tokens": []}, "y_model": {"tokens": []},
+               "model_samples": [{"tokens": ["B"]}, {"tokens": tokens}]}
+        path = tmp_path / "rel.jsonl"
+        path.write_text("# alphabet=A,B,STOP terminal=STOP\n"
+                        + json.dumps(obj) + "\n")
+        with pytest.raises(DataError) as err:
+            load_reliability_records(path)
+        assert str(err.value) == f"{path}:2 (model_samples[1]): {message}"
+
     @pytest.mark.parametrize("sample", [
         ["A"],                                   # not an object
         {},                                      # no tokens

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from acmmd import kernels
 from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
                            KernelSpec, distribution_gram, gaussian_gram, gram,
                            hamming_gram, mean_pool, median_pairwise_distance,
@@ -314,7 +315,79 @@ class TestMmd:
         assert abs(np.mean(values)) < 3 * np.std(values) / math.sqrt(len(values))
 
 
+def brute_mmd_matrix(sets, ky):
+    """Plain-loop unbiased MMD^2 between every two sample sets."""
+    brute = brute_exp_hamming if ky.kind == "exp-hamming" else brute_tilted
+    n = len(sets)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                out[i, j] = brute_mmd_sq(sets[i], sets[j],
+                                         lambda a, b: brute(a, b, ky.lam))
+    return out
+
+
+def panel_mmd(sets, ky, monkeypatch, rows=None):
+    """mmd_sq_matrix, with a budget of `rows`-row panels if `rows` is given.
+
+    Returns the matrix, the rows of each panel, and the `indicators`
+    argument of each hamming_gram call.
+    """
+    v = len({tuple(s) for one in sets for s in one})
+    panels, indicators = [], []
+    real_sequence, real_hamming = kernels.sequence_gram, kernels.hamming_gram
+
+    def sequence_spy(spec, codes_a, *args):
+        panels.append(len(codes_a))
+        return real_sequence(spec, codes_a, *args)
+
+    def hamming_spy(codes_a, codes_b, blocks=None):
+        indicators.append(blocks)
+        return real_hamming(codes_a, codes_b, blocks)
+
+    if rows is not None:
+        # A panel costs 16 bytes per entry plus 8 per record and row.
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES",
+                            rows * (16 * v + 8 * len(sets)))
+    monkeypatch.setattr(kernels, "sequence_gram", sequence_spy)
+    monkeypatch.setattr(kernels, "hamming_gram", hamming_spy)
+    return mmd_sq_matrix(sets, ky), panels, indicators
+
+
+@st.composite
+def mmd_cases(draw):
+    """A sequence kernel and 2-5 sample sets of 2-6 tuples each."""
+    kind = draw(st.sampled_from(SEQUENCE_KINDS))
+    tokens = st.lists(st.sampled_from("AB"), max_size=5,
+                      min_size=int(kind == "tilted-exp-hamming")).map(tuple)
+    sets = draw(st.lists(st.lists(tokens, min_size=2, max_size=6),
+                         min_size=2, max_size=5))
+    return KernelSpec(kind, lam=draw(st.floats(0.05, 3.0))), sets
+
+
 class TestMmdMatrix:
+    @given(mmd_cases())
+    @example((KernelSpec("exp-hamming", lam=0.7),
+              [[(), ("A",)], [("B", "A"), (), ("A", "A", "B"), ("B",), ()],
+               [("A",), ("A", "B"), ("B", "B", "B")]]))
+    @example((KernelSpec("tilted-exp-hamming", lam=1.3),
+              [[("A",), ("B",), ("A", "B")], [("B", "B"), ("A", "A", "A")],
+               [("A",), ("B", "A"), ("B",), ("A", "B", "B")]]))
+    @settings(max_examples=60, deadline=None)
+    def test_panels_match_plain_loop_u_statistic(self, case):
+        ky, sets = case
+        v = len({s for one in sets for s in one})
+        assume(v >= 5 and v % 2 == 1)
+        with pytest.MonkeyPatch.context() as mp:
+            got, panels, _ = panel_mmd(sets, ky, mp, rows=2)
+        # Two-row panels over an odd vocabulary end with a one-row panel.
+        assert len(panels) >= 3 and panels[-1] == 1
+        assert np.array_equal(got, got.T)
+        assert not np.diag(got).any()
+        want = brute_mmd_matrix(sets, ky)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("kind", ["exp-hamming", "tilted-exp-hamming"])
     def test_matches_pairwise_direct(self, rng, kind):
         sets = []
@@ -348,20 +421,29 @@ class TestMmdMatrix:
         assert np.array_equal(matrix, np.zeros((3, 3)))
 
     def test_direct_fallback_path_matches(self, rng):
-        # A wide alphabet: 200 symbols plus the pad code.
+        # 200 symbols at widths up to 30: several groups of codes, each
+        # with its own indicator block.
         symbols = [f"s{i}" for i in range(200)]
-        sets = []
-        for _ in range(4):
-            seqs = [tuple(symbols[int(k)] for k in rng.integers(0, 200, 6))
-                    for _ in range(3)]
-            sets.append(seqs)
+        sets = [[tuple(symbols[int(k)] for k in
+                       rng.integers(0, 200, int(rng.integers(10, 31))))
+                 for _ in range(size)] for size in (3, 5, 4, 2)]
+        codes, _ = encode_sequences([s for one in sets for s in one])
+        assert len(list(kernels._indicators(codes, np.unique(codes)))) > 1
         ky = KernelSpec("exp-hamming", lam=0.8)
-        matrix = mmd_sq_matrix(sets, ky)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert matrix[i, j] == pytest.approx(
-                    mmd_sq_unbiased(sets[i], sets[j], ky),
-                    rel=1e-12, abs=1e-12)
+        want = brute_mmd_matrix(sets, ky)
+        # Three-row panels: the blocks are too large for that budget, so
+        # hamming_gram builds them group by group for every panel.
+        with pytest.MonkeyPatch.context() as mp:
+            small, panels, indicators = panel_mmd(sets, ky, mp, rows=3)
+        assert len(panels) >= 3 and panels[-1] < 3
+        assert all(blocks is None for blocks in indicators)
+        # The default budget holds the blocks, built once.
+        with pytest.MonkeyPatch.context() as mp:
+            default, _, indicators = panel_mmd(sets, ky, mp)
+        assert all(blocks is not None for blocks in indicators)
+        for got in (small, default):
+            assert np.array_equal(got, got.T)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_rejects_undersized_record(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -48,17 +48,21 @@ def test_permuting_records_permutes_h(n, seed):
 
 @given(*sizes_and_seeds)
 @settings(max_examples=20, deadline=None)
-# A tiny median sigma_p makes khat huge: at these draws an asymmetric h
-# once moved the statistic beyond the bound.
+# A tiny median sigma_p makes khat huge: at these draws an asymmetric h,
+# or an MMD^2 matrix that did not permute with the records, once moved the
+# statistic beyond the bound.
 @example(11, 299)
 @example(6, 870)
+@example(16, 301)
 def test_permuting_records_keeps_reliability_statistic(n, seed):
     records = generate_reliability_records(
         CONFIG, n, default_inner_samples(n), seed)
     perm = np.random.default_rng(seed).permutation(n)
     kp = KernelSpec("dist-expmmd", sigma="median", inner=CONFIG.ky)
     h = rel_h_matrix(records, kp, CONFIG.ky).values
+    h_perm = rel_h_matrix([records[i] for i in perm], kp, CONFIG.ky).values
     assert np.array_equal(h, h.T)
+    assert np.array_equal(h_perm, h[perm][:, perm])
     size = np.abs(h).max()
     assert close(acmmd_rel_sq([records[i] for i in perm], CONFIG.ky),
                  acmmd_rel_sq(records, CONFIG.ky), size)

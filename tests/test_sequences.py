@@ -26,6 +26,16 @@ class TestAlphabet:
         with pytest.raises(ValueError, match="not in alphabet"):
             ab.validate(("A", "C"))
 
+    @pytest.mark.parametrize("tokens,message", [
+        (("A", "STOP", "C"), "terminal symbol 'STOP' inside a sequence"),
+        (("A", "C", "STOP"), "token 'C' not in alphabet"),
+    ])
+    def test_validate_names_first_bad_token(self, tokens, message):
+        ab = Alphabet(("A", "B", "STOP"), terminal="STOP")
+        with pytest.raises(ValueError) as err:
+            ab.validate(tokens)
+        assert str(err.value) == message
+
     def test_validate_accepts_empty(self):
         Alphabet(("A",)).validate(())
 
