@@ -167,6 +167,7 @@ def estimate(input_path, out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
     kx = config_kernel(cfg, "kernel_x")
     ky = config_kernel(cfg, "kernel_y")
+    group_by = config_group_by(cfg)
     records, _ = load_triplets(input_path)
 
     def run(members, _seed):
@@ -174,7 +175,7 @@ def estimate(input_path, out_path, config_path, **flags):
         return _estimate_entry(h, kernel_x=h.kx.to_string())
 
     report: dict = {"command": "estimate", "input": str(input_path)}
-    report.update(_run_per_group(records, config_group_by(cfg), None, run))
+    report.update(_run_per_group(records, group_by, None, run))
     _emit(report, out_path)
 
 
@@ -196,11 +197,12 @@ def test(input_path, out_path, config_path, **flags):
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_seed(cfg)
+    group_by = config_group_by(cfg)
     records, _ = load_triplets(input_path)
     report: dict = {"command": "test", "input": str(input_path),
                     "seed": seed_v}
     report.update(_run_per_group(
-        records, config_group_by(cfg), seed_v,
+        records, group_by, seed_v,
         lambda members, s: acmmd_test(members, kx, ky, alpha=alpha_v,
                                       b_count=b_count, seed=s).to_dict()))
     _emit(report, out_path)
@@ -224,6 +226,7 @@ def rel_estimate(input_path, out_path, config_path, **flags):
     ky = config_rel_kernel_y(cfg)
     sigma = config_sigma_p(cfg)
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
+    group_by = config_group_by(cfg)
     records, _ = load_reliability_records(input_path)
     records = _trim_model_samples(records, trim)
 
@@ -234,7 +237,7 @@ def rel_estimate(input_path, out_path, config_path, **flags):
                                inner_samples=inner_samples_summary(members))
 
     report: dict = {"command": "rel-estimate", "input": str(input_path)}
-    report.update(_run_per_group(records, config_group_by(cfg), None, run))
+    report.update(_run_per_group(records, group_by, None, run))
     _emit(report, out_path)
 
 
@@ -258,12 +261,13 @@ def rel_test(input_path, out_path, config_path, **flags):
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_seed(cfg)
+    group_by = config_group_by(cfg)
     records, _ = load_reliability_records(input_path)
     records = _trim_model_samples(records, trim)
     report: dict = {"command": "rel-test", "input": str(input_path),
                     "seed": seed_v}
     report.update(_run_per_group(
-        records, config_group_by(cfg), seed_v,
+        records, group_by, seed_v,
         lambda members, s: acmmd_rel_test(
             members, ky, sigma=sigma, alpha=alpha_v, b_count=b_count,
             seed=s).to_dict()))

@@ -7,22 +7,22 @@ the file. Records are objects whose fields are items; an item is an object
 carrying any of `tokens` (list of strings), `scalar` (number), `embedding`
 (flat number list), or `per_position` (list of equal-length number lists).
 
-Triplet records need `x`, `y`, and `y_model`. Reliability records need
-`y`, `y_model`, and `model_samples`, a list of at least 2 model samples,
-each `{"tokens": [...]}` and nothing else; `x` is optional. Either kind may
-carry a string `group`.
+The keys of a record are the fields of its dataclass, and a field without a
+default is required: Triplet records need `x`, `y`, and `y_model`.
+Reliability records need `y`, `y_model`, and `model_samples`, a list of at
+least 2 model samples, each `{"tokens": [...]}` and nothing else; `x` is
+optional. Either kind may carry a string `group`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 from .errors import DataError
 from .records import Item, ReliabilityRecord, Triplet
 from .sequences import Alphabet, Tokens
-
-_ITEM_FIELDS = ("tokens", "scalar", "embedding", "per_position")
 
 
 def _list_of(value, types) -> bool:
@@ -47,7 +47,7 @@ def item_from_json(obj, where: str) -> Item:
     """
     if not isinstance(obj, dict):
         raise DataError(f"{where}: item must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(_ITEM_FIELDS)
+    unknown = set(obj) - _ITEM_TYPES.keys()
     if unknown:
         raise DataError(f"{where}: unknown item fields {sorted(unknown)}")
     for key, value in obj.items():
@@ -149,11 +149,51 @@ def _check_tokens(tokens, alphabet: Alphabet | None, where: str) -> None:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _group_of(obj: dict, where: str) -> str | None:
-    group = obj.get("group")
-    if group is not None and not isinstance(group, str):
-        raise DataError(f"{where}: group must be a string")
-    return group
+def _field_from_json(name: str, value, alphabet: Alphabet | None, where: str):
+    """Parse record field `name`: the group label, the model samples, or an
+    item whose tokens are checked against the alphabet."""
+    if name == "group":
+        if value is not None and not isinstance(value, str):
+            raise DataError(f"{where}: group must be a string")
+        return value
+    if name == "model_samples":
+        if not isinstance(value, list):
+            raise DataError(f"{where}: model_samples must be a list")
+        return tuple(
+            _sample_from_json(s, alphabet, f"{where} (model_samples[{i}])")
+            for i, s in enumerate(value))
+    item = item_from_json(value, f"{where} ({name})")
+    _check_tokens(item.tokens, alphabet, f"{where} ({name})")
+    return item
+
+
+def _load(path, kind):
+    """Records of dataclass `kind` from JSONL, plus the declared alphabet.
+
+    The record's fields are the keys; a field without a default is required.
+    """
+    fields = dataclasses.fields(kind)
+    names = [f.name for f in fields]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    records = []
+    alphabet = None
+    for lineno, obj, alphabet in _iter_records(path):
+        where = f"{path}:{lineno}"
+        for key in required:
+            if key not in obj:
+                raise DataError(f"{where}: missing field {key!r}")
+        extra = set(obj).difference(names)
+        if extra:
+            raise DataError(f"{where}: unknown fields {sorted(extra)}")
+        values = {name: _field_from_json(name, obj[name], alphabet, where)
+                  for name in names if name in obj}
+        try:
+            records.append(kind(**values))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+    if not records:
+        raise DataError(f"{path}: empty dataset")
+    return records, alphabet
 
 
 def load_triplets(path) -> tuple[list[Triplet], Alphabet | None]:
@@ -166,100 +206,43 @@ def load_triplets(path) -> tuple[list[Triplet], Alphabet | None]:
         DataError: unreadable file, malformed line, or no records at all;
             messages carry path:line locations.
     """
-    records: list[Triplet] = []
-    alphabet = None
-    for lineno, obj, alphabet in _iter_records(path):
-        where = f"{path}:{lineno}"
-        for key in ("x", "y", "y_model"):
-            if key not in obj:
-                raise DataError(f"{where}: missing field {key!r}")
-        extra = set(obj) - {"x", "y", "y_model", "group"}
-        if extra:
-            raise DataError(f"{where}: unknown fields {sorted(extra)}")
-        triplet = Triplet(
-            x=item_from_json(obj["x"], f"{where} (x)"),
-            y=item_from_json(obj["y"], f"{where} (y)"),
-            y_model=item_from_json(obj["y_model"], f"{where} (y_model)"),
-            group=_group_of(obj, where))
-        for name in ("x", "y", "y_model"):
-            _check_tokens(getattr(triplet, name).tokens, alphabet,
-                          f"{where} ({name})")
-        records.append(triplet)
-    if not records:
-        raise DataError(f"{path}: empty dataset")
-    return records, alphabet
+    return _load(path, Triplet)
 
 
 def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | None]:
     """Read reliability records (y, y_model, model_samples[, x]) from JSONL."""
-    records: list[ReliabilityRecord] = []
-    alphabet = None
-    for lineno, obj, alphabet in _iter_records(path):
-        where = f"{path}:{lineno}"
-        for key in ("y", "y_model", "model_samples"):
-            if key not in obj:
-                raise DataError(f"{where}: missing field {key!r}")
-        extra = set(obj) - {"x", "y", "y_model", "model_samples", "group"}
-        if extra:
-            raise DataError(f"{where}: unknown fields {sorted(extra)}")
-        samples_json = obj["model_samples"]
-        if not isinstance(samples_json, list):
-            raise DataError(f"{where}: model_samples must be a list")
-        samples = tuple(
-            _sample_from_json(s, alphabet, f"{where} (model_samples[{i}])")
-            for i, s in enumerate(samples_json))
-        try:
-            record = ReliabilityRecord(
-                y=item_from_json(obj["y"], f"{where} (y)"),
-                y_model=item_from_json(obj["y_model"], f"{where} (y_model)"),
-                model_samples=samples,
-                x=item_from_json(obj["x"], f"{where} (x)") if "x" in obj else None,
-                group=_group_of(obj, where))
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        _check_tokens(record.y.tokens, alphabet, f"{where} (y)")
-        _check_tokens(record.y_model.tokens, alphabet, f"{where} (y_model)")
-        records.append(record)
-    if not records:
-        raise DataError(f"{path}: empty dataset")
-    return records, alphabet
+    return _load(path, ReliabilityRecord)
 
 
-def _alphabet_comment(alphabet: Alphabet) -> str:
-    line = "# alphabet=" + ",".join(alphabet.symbols)
-    if alphabet.terminal is not None:
-        line += f" terminal={alphabet.terminal}"
-    return line
+def _write(path, records, alphabet: Alphabet | None) -> None:
+    """Write records as JSONL with sorted keys; None fields are left out."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if alphabet is not None:
+            line = "# alphabet=" + ",".join(alphabet.symbols)
+            if alphabet.terminal is not None:
+                line += f" terminal={alphabet.terminal}"
+            fh.write(line + "\n")
+        for record in records:
+            obj = {}
+            for name, value in vars(record).items():
+                if name == "model_samples":
+                    obj[name] = [{"tokens": list(s)} for s in value]
+                elif isinstance(value, Item):
+                    obj[name] = item_to_json(value)
+                elif value is not None:
+                    obj[name] = value
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def write_triplets(path, triplets, alphabet: Alphabet | None = None) -> None:
     """Write (x, y, y_model) records as JSONL with deterministic key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if alphabet is not None:
-            fh.write(_alphabet_comment(alphabet) + "\n")
-        for t in triplets:
-            obj = {"x": item_to_json(t.x), "y": item_to_json(t.y),
-                   "y_model": item_to_json(t.y_model)}
-            if t.group is not None:
-                obj["group"] = t.group
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write(path, triplets, alphabet)
 
 
 def write_reliability_records(path, records,
                               alphabet: Alphabet | None = None) -> None:
     """Write reliability records as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if alphabet is not None:
-            fh.write(_alphabet_comment(alphabet) + "\n")
-        for r in records:
-            obj = {"y": item_to_json(r.y), "y_model": item_to_json(r.y_model),
-                   "model_samples": [{"tokens": list(s)}
-                                     for s in r.model_samples]}
-            if r.x is not None:
-                obj["x"] = item_to_json(r.x)
-            if r.group is not None:
-                obj["group"] = r.group
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write(path, records, alphabet)
 
 
 def write_report(path, report: dict) -> None:

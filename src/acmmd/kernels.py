@@ -323,8 +323,6 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
         return values[np.ix_(inv_a, inv_b)]
     vec_a = _vectors_of(items_a, spec.kind)
     vec_b = vec_a if items_b is None else _vectors_of(items_b, spec.kind)
-    if vec_a.shape[1] != vec_b.shape[1]:
-        raise ValueError("embedding dimension mismatch")
     return gaussian_gram(vec_a, vec_b, spec.sigma_resolved)
 
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,10 @@ def _as_tokens(value) -> Tokens:
     if isinstance(value, str):
         raise ValueError("tokens must be a sequence of strings, not a string")
     tokens = tuple(value)
-    if not all(map(isinstance, tokens, repeat(str))):
-        raise ValueError("tokens must be strings")
+    try:
+        "".join(tokens)
+    except TypeError:
+        raise ValueError("tokens must be strings") from None
     return tokens
 
 
@@ -75,7 +76,7 @@ def _opt_array_equal(a, b) -> bool:
     return np.array_equal(a, b)
 
 
-@dataclass(eq=False)
+@dataclass
 class Triplet:
     """One observation (x, y, y_model): conditioning input, true output, and
     one model sample drawn at the same input."""
@@ -85,14 +86,8 @@ class Triplet:
     y_model: Item
     group: str | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, Triplet):
-            return NotImplemented
-        return (self.x == other.x and self.y == other.y
-                and self.y_model == other.y_model and self.group == other.group)
 
-
-@dataclass(eq=False)
+@dataclass
 class ReliabilityRecord:
     """One reliability observation.
 
@@ -112,13 +107,6 @@ class ReliabilityRecord:
         self.model_samples = tuple(map(_as_tokens, self.model_samples))
         if len(self.model_samples) < 2:
             raise ValueError("reliability records need at least 2 model samples")
-
-    def __eq__(self, other):
-        if not isinstance(other, ReliabilityRecord):
-            return NotImplemented
-        return (self.y == other.y and self.y_model == other.y_model
-                and self.model_samples == other.model_samples
-                and self.x == other.x and self.group == other.group)
 
 
 def tokens_of(obj) -> Tokens:

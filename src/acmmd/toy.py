@@ -269,6 +269,17 @@ def mmd_sq_models_exact(p: float, p2: float, lam: float,
             - 2.0 * _model_pair_mean(p, p2, lam, delta_p))
 
 
+def _atom_pair_sum(config: ToyConfig, weight) -> float:
+    """delta_p^2 times the sum over atom pairs (p, p2) of
+    w * w2 * weight(p, p2) * sensitivity(p, p2)."""
+    total = 0.0
+    prior = config.prior
+    for p, w in zip(prior.atoms, prior.weights):
+        for p2, w2 in zip(prior.atoms, prior.weights):
+            total += w * w2 * weight(p, p2) * _pair_sensitivity(p, p2, config.lam)
+    return total * config.delta_p ** 2
+
+
 def acmmd_sq_exact(config: ToyConfig) -> float:
     """Exact population value of the goodness-of-fit statistic.
 
@@ -276,14 +287,9 @@ def acmmd_sq_exact(config: ToyConfig) -> float:
     constant, so it is exactly 0 for the unperturbed model and grows
     quadratically in the perturbation.
     """
-    total = 0.0
-    prior = config.prior
     sigma = config.kx_sigma
-    for p, w in zip(prior.atoms, prior.weights):
-        for p2, w2 in zip(prior.atoms, prior.weights):
-            kx = float(np.exp(-(p - p2) ** 2 / (2.0 * sigma * sigma)))
-            total += w * w2 * kx * _pair_sensitivity(p, p2, config.lam)
-    return total * config.delta_p ** 2
+    return _atom_pair_sum(config, lambda p, p2: float(
+        np.exp(-(p - p2) ** 2 / (2.0 * sigma * sigma))))
 
 
 def acmmd_rel_sq_exact(config: ToyConfig, sigma_p: float) -> float:
@@ -295,11 +301,6 @@ def acmmd_rel_sq_exact(config: ToyConfig, sigma_p: float) -> float:
     """
     if not sigma_p > 0:
         raise ValueError("sigma_p must be positive")
-    total = 0.0
-    prior = config.prior
-    for p, w in zip(prior.atoms, prior.weights):
-        for p2, w2 in zip(prior.atoms, prior.weights):
-            kp = math.exp(-mmd_sq_models_exact(p, p2, config.lam, config.delta_p)
-                          / (2.0 * sigma_p * sigma_p))
-            total += w * w2 * kp * _pair_sensitivity(p, p2, config.lam)
-    return total * config.delta_p ** 2
+    return _atom_pair_sum(config, lambda p, p2: math.exp(
+        -mmd_sq_models_exact(p, p2, config.lam, config.delta_p)
+        / (2.0 * sigma_p * sigma_p)))

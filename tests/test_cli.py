@@ -135,6 +135,14 @@ class TestExitCodes:
         assert code == 1
         assert "config error: kernel_" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "test", "rel-estimate",
+                                         "rel-test"])
+    def test_group_by_checked_before_reading(self, capsys, command):
+        code, _, err = run(capsys, command, "--group-by", "foo",
+                           "--input", "nope.jsonl")
+        assert code == 1
+        assert "config error" in err
+
     @pytest.mark.parametrize("key,argv", [
         ("kernel_x", ["--family", "rel", "--kernel-x", "bogus"]),
         ("subsample_n", ["--subsample-n", "1"]),

@@ -214,6 +214,15 @@ class TestReliabilityIo:
         with pytest.raises(DataError, match="missing field 'model_samples'"):
             load_reliability_records(path)
 
+    def test_x_tokens_validated(self, tmp_path):
+        obj = {"x": {"tokens": ["Z"]}, "y": {"tokens": []},
+               "y_model": {"tokens": []},
+               "model_samples": [{"tokens": []}, {"tokens": ["A"]}]}
+        path = tmp_path / "rel.jsonl"
+        path.write_text("# alphabet=A,B\n" + json.dumps(obj) + "\n")
+        with pytest.raises(DataError, match=r"rel\.jsonl:2 \(x\)"):
+            load_reliability_records(path)
+
     def test_sample_tokens_validated_with_index(self, tmp_path):
         obj = {"y": {"tokens": []}, "y_model": {"tokens": []},
                "model_samples": [{"tokens": []}, {"tokens": ["Z"]}]}

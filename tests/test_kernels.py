@@ -256,6 +256,11 @@ class TestGrams:
         with pytest.raises(ValueError, match="dimension"):
             gram(KernelSpec("gaussian", sigma=1.0), items)
 
+    def test_cross_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="embedding dimension mismatch"):
+            gram(KernelSpec("gaussian", sigma=1.0), [Item(embedding=[1.0])],
+                 [Item(embedding=[1.0, 2.0])])
+
 
 class TestMedianHeuristic:
     def test_median_of_three_points(self):

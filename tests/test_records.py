@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestRecords:
         with pytest.raises(ValueError, match="2"):
             ReliabilityRecord(y=Item(tokens=()), y_model=Item(tokens=()),
                               model_samples=[()])
+
+    def test_records_differing_in_one_field_are_unequal(self):
+        t = Triplet(x=Item(scalar=0.5), y=Item(tokens=()),
+                    y_model=Item(tokens=("A",)))
+        assert t == dataclasses.replace(t)
+        assert t != dataclasses.replace(t, group="g")
+        rec = ReliabilityRecord(y=Item(tokens=()), y_model=Item(tokens=()),
+                                model_samples=[(), ("A",)])
+        assert rec == dataclasses.replace(rec)
+        for change in [{"group": "g"}, {"x": Item(scalar=0.5)},
+                       {"model_samples": [(), ("B",)]}]:
+            assert rec != dataclasses.replace(rec, **change)
+        assert rec != t
 
     def test_reliability_samples_stored_as_tuple(self):
         rec = ReliabilityRecord(
