@@ -12,7 +12,8 @@ Subcommands:
 
 Every command accepts --config FILE (a flat JSON object of option values);
 explicit flags override the file. Exit codes: 0 success, 1 usage or
-configuration error, 2 data error.
+configuration error (an unwritable --out included), 2 data error, 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -459,12 +461,18 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 1
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
-    except ValueError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return 2
+    except OSError as exc:  # an --out that cannot be written: a usage error
+        click.echo(f"error: {exc}", err=True)
+        return 1
+    except click.Abort:  # Ctrl-C, which click raises as a RuntimeError
+        raise
+    except Exception:
+        click.echo(f"internal error: {traceback.format_exc()}", err=True,
+                   nl=False)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ tuples are encoded once (`_vocabulary`), `sequence_gram` turns the encoded
 rows into kernel values, and the result is either gathered back to the
 inputs (`gram`) or summed into C K C^T over per-record counts C
 (`mmd_sq_matrix`, in upper-triangle row panels within `_CHUNK_BYTES`).
+Gaussian distances are filled in numpy row blocks of `_CHUNK_BYTES / 16`,
+which stay in cache, and equal scipy's cdist bitwise.
+Only `mmd_sq_matrix` loads scipy (`scipy.sparse`).
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
-from scipy.spatial.distance import cdist
 
 from .records import Item, tokens_of
 from .sequences import encode_sequences
@@ -224,8 +225,28 @@ def gaussian_gram(vectors_a: np.ndarray, vectors_b: np.ndarray,
         raise ValueError("sigma must be positive")
     if vectors_a.shape[1] != vectors_b.shape[1]:
         raise ValueError("embedding dimension mismatch")
-    sq = cdist(vectors_a, vectors_b, "sqeuclidean")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    sq = _squared_distances(vectors_a, vectors_b)
+    sq /= -2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows, adding the coordinates one
+    at a time, cdist's own order: so they equal cdist's bitwise, which one
+    sum over an (n, m, d) array does not at d >= 8."""
+    out = np.zeros((len(a), len(b)))
+    # Row blocks of 1/16 of the chunk budget, with their difference buffer,
+    # stay in cache through the d passes over them.
+    rows = max(1, _CHUNK_BYTES // (256 * max(1, len(b))))
+    b_cols = np.ascontiguousarray(b.T, dtype=np.float64)
+    diff = np.empty((min(rows, len(a)), len(b)))
+    for start in range(0, len(a), rows):
+        sq = out[start:start + rows]
+        d = diff[:len(sq)]
+        for k in range(a.shape[1]):
+            np.subtract.outer(a[start:start + rows, k], b_cols[k], out=d)
+            sq += np.square(d, out=d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +294,8 @@ def median_pairwise_distance(vectors: np.ndarray) -> float:
     The 1.0 fallback covers both a zero median (all points identical) and
     fewer than two points.
     """
-    return _median_heuristic(cdist(vectors, vectors, "euclidean"))
+    dists = _squared_distances(vectors, vectors)
+    return _median_heuristic(np.sqrt(dists, out=dists))
 
 
 def _median_heuristic(dists: np.ndarray) -> float:
@@ -281,7 +303,7 @@ def _median_heuristic(dists: np.ndarray) -> float:
     n = len(dists)
     if n < 2:
         return 1.0
-    med = float(np.median(dists[np.triu_indices(n, 1)]))
+    med = float(np.median(dists[~np.tri(n, dtype=bool)]))  # the pairs i < j
     return med if med > 0 else 1.0
 
 
@@ -363,6 +385,7 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
     n_rec = len(r_counts)
     if np.any(r_counts < 2):
         raise ValueError("every sample set needs at least 2 samples")
+    import scipy.sparse  # here, so that only the commands that need it load it
     codes, lengths, inv = _vocabulary([tuple(s) for one in sample_sets for s in one])
     v = len(codes)
     rec_ids = np.repeat(np.arange(n_rec), r_counts)

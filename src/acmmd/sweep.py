@@ -242,9 +242,10 @@ def write_sweep_csv(path, rows: list[SweepRow], group_mode: bool) -> None:
 
 def _binomial_interval(k: int, n: int) -> tuple[float, float]:
     """Exact (Clopper-Pearson) central 95% interval for a proportion."""
-    from scipy.stats import beta  # here: it is half of the CLI's import time
-    lo = 0.0 if k == 0 else float(beta.ppf(0.025, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta.ppf(0.975, k + 1, n - k))
+    # scipy.special gives beta.ppf's values and loads in a third of the time.
+    from scipy.special import betaincinv
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, 0.025))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 0.975))
     return lo, hi
 
 

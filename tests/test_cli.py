@@ -155,13 +155,80 @@ class TestExitCodes:
         assert f"config error: {key}" in err
 
 
-def test_cli_import_leaves_scipy_stats_out():
+    @pytest.mark.parametrize("argv", [
+        ["test", "--bootstrap", "20"],
+        ["sweep", "--n-values", "10", "--delta-p-values", "0",
+         "--n-seeds", "2", "--bootstrap", "20"],
+    ])
+    def test_unwritable_out_is_a_usage_error(self, toy_data, tmp_path, capsys,
+                                             argv):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"  # under a file, not a directory
+        if argv[0] == "test":
+            argv = [*argv, "--input", str(toy_data)]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(out.parent) in err
+        assert "Traceback" not in err
+
+    def test_internal_error_exits_3_with_traceback(self, toy_data, capsys,
+                                                   monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr("acmmd.cli.acmmd_test", broken)
+        code, _, err = run(capsys, "test", "--input", str(toy_data))
+        assert code == 3
+        assert err.startswith("internal error: Traceback")
+        assert "RuntimeError: broken on purpose" in err
+
+
+# Runs commands in one fresh interpreter and prints, after each, the scipy
+# modules loaded so far.
+_MODULE_PROBE = """
+import json, sys
+from acmmd.cli import main
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        raise SystemExit(f"{name} failed")
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_scipy_they_use(toy_data, rel_data, tmp_path):
+    def loads(modules, package):
+        return any(m == package or m.startswith(package + ".")
+                   for m in modules)
+
+    commands = [
+        ("test", ["test", "--input", str(toy_data), "--bootstrap", "20",
+                  "--kernel-x", "gaussian:sigma=median",
+                  "--out", str(tmp_path / "test.json")]),
+        ("rel-test", ["rel-test", "--input", str(rel_data),
+                      "--bootstrap", "20",
+                      "--out", str(tmp_path / "rel.json")]),
+        ("sweep", ["sweep", "--n-values", "10", "--delta-p-values", "0",
+                   "--n-seeds", "2", "--bootstrap", "20",
+                   "--out", str(tmp_path / "sweep.csv")]),
+    ]
     src = str(Path(acmmd.__file__).resolve().parent.parent)
-    probe = "import sys, acmmd.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["test"] == []
+    assert loads(loaded["rel-test"], "scipy.sparse")
+    for package in ("scipy.spatial", "scipy.stats"):
+        assert not loads(loaded["rel-test"], package)
+        assert not loads(loaded["sweep"], package)
 
 
 class TestEstimate:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from acmmd import kernels
 from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
@@ -262,6 +264,58 @@ class TestGrams:
                  [Item(embedding=[1.0, 2.0])])
 
 
+def cdist_median(vectors):
+    """The median heuristic as it was computed from scipy's square cdist."""
+    n = len(vectors)
+    if n < 2:
+        return 1.0
+    dists = cdist(vectors, vectors, "euclidean")
+    med = float(np.median(dists[np.triu_indices(n, 1)]))
+    return med if med > 0 else 1.0
+
+
+@st.composite
+def vector_sets(draw):
+    """Two float arrays of 1-60 rows each and one width d in 0..16."""
+    d = draw(st.integers(0, 16))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    a, b = (draw(arrays(np.float64, (draw(st.integers(1, 60)), d),
+                        elements=values)) for _ in range(2))
+    return a, b
+
+
+class TestGaussianMatchesCdist:
+    """The numpy distances equal scipy's cdist bitwise, at the default block
+    budget, with every row its own block, and in blocks of a few rows with a
+    shorter last one."""
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 3 << 14])
+    @given(vecs=vector_sets(), sigma=st.floats(0.01, 100.0))
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_gram(self, chunk_bytes, vecs, sigma):
+        a, b = vecs
+        want = np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * sigma * sigma))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_bytes is not None:
+                mp.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+            got = gaussian_gram(a, b, sigma)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 3 << 14])
+    @given(vecs=vector_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_median_pairwise_distance(self, chunk_bytes, vecs):
+        a, b = vecs
+        # Repeated rows give zero distances and ties among the pairs.
+        for vectors in (a, np.concatenate([a, a[:len(a) // 2]])):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk_bytes is not None:
+                    mp.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+                got = median_pairwise_distance(vectors)
+            assert got == cdist_median(vectors)
+
+
 class TestMedianHeuristic:
     def test_median_of_three_points(self):
         vectors = np.array([[0.0], [1.0], [3.0]])
@@ -476,13 +530,21 @@ class TestDistributionGram:
         assert mmd[0, 1] == pytest.approx(-0.6321205588285577, rel=1e-14)
         assert values[0, 1] == pytest.approx(1.3717129391864922, rel=1e-14)
 
-    def test_median_sigma_resolution(self, rng):
-        sets = [[random_tokens(rng) for _ in range(5)] for _ in range(6)]
+    @given(sets=st.lists(st.lists(tokens_st, min_size=2, max_size=6),
+                         min_size=2, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_median_sigma_resolution(self, sets):
         spec = KernelSpec("dist-expmmd", inner=KernelSpec("exp-hamming"))
-        values, resolved, mmd = distribution_gram(spec, sets)
-        iu = np.triu_indices(6, 1)
-        med = float(np.median(np.sqrt(np.clip(mmd[iu], 0.0, None))))
-        assert resolved.sigma == (med if med > 0 else 1.0)
+        mmd = mmd_sq_matrix(sets, spec.inner)
+        dists = np.sqrt(np.clip(mmd, 0.0, None))
+        med = float(np.median(dists[np.triu_indices(len(sets), 1)]))
+        want = med if med > 0 else 1.0
+        try:
+            _, resolved, _ = distribution_gram(spec, sets)
+        except ValueError as exc:  # a small sigma overflows khat
+            assert f"sigma_p={want!r} " in str(exc)
+        else:
+            assert resolved.sigma == want
 
     def test_gram_rejects_distribution_kind(self, rng):
         sets = [[random_tokens(rng) for _ in range(3)] for _ in range(3)]

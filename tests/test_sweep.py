@@ -5,6 +5,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from scipy.stats import beta
 
 from acmmd import sweep
 from acmmd.errors import ConfigError, DataError
@@ -143,6 +144,13 @@ class TestSummarize:
         lo, hi = all_rejects["cells"][0]["rejection_rate_ci95"]
         assert lo == pytest.approx(0.025 ** 0.25, rel=1e-12)
         assert hi == 1.0
+
+    @pytest.mark.parametrize("n", [*range(1, 60), 100, 200, 300, 1000])
+    def test_interval_equals_beta_ppf(self, n):
+        for k in range(n + 1):
+            lo = 0.0 if k == 0 else beta.ppf(0.025, k, n - k + 1)
+            hi = 1.0 if k == n else beta.ppf(0.975, k + 1, n - k)
+            assert sweep._binomial_interval(k, n) == (lo, hi), k
 
     def test_group_mode_key(self):
         rows = self.rows([0, 1], label="p=0.3")
