@@ -383,6 +383,8 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
         raise ValueError("mmd matrix needs a sequence kernel")
     r_counts = np.array([len(one) for one in sample_sets], dtype=np.int64)
     n_rec = len(r_counts)
+    if n_rec == 0:
+        raise ValueError("mmd matrix needs at least one sample set")
     if np.any(r_counts < 2):
         raise ValueError("every sample set needs at least 2 samples")
     import scipy.sparse  # here, so that only the commands that need it load it

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import SK_BOOTSTRAP, SK_DECISION, as_seed_sequence, generator
+from ._rng import (SK_BOOTSTRAP, SK_DECISION, as_seed_sequence, generator,
+                   sign_rows)
 from .estimator import HMatrix, acmmd_sq, h_matrix, sigma_h_sq
 from .kernels import KernelSpec
 
@@ -122,7 +123,11 @@ class TestReport:
 
 
 def rademacher_signs(seed, replicate: int, n: int) -> np.ndarray:
-    """Signs in {-1, +1} for one bootstrap replicate, independent per index."""
+    """Signs in {-1, +1} for one bootstrap replicate, independent per index.
+
+    This is the definition of a replicate's signs: row b of the matrix
+    `wild_bootstrap` draws in one pass equals `rademacher_signs(seed, b, n)`.
+    """
     rng = generator(seed, SK_BOOTSTRAP, replicate)
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
@@ -132,7 +137,11 @@ def wild_bootstrap(h: HMatrix | np.ndarray, b_count: int, seed
     """B sign-flip recomputations (w' H w - tr H) / (N (N - 1)).
 
     Each replicate derives its own sign stream from `seed`, so draw b is
-    the same no matter how many replicates run or in what order.
+    the same no matter how many replicates run or in what order. The B
+    sign rows are drawn in one pass, and row b is
+    `rademacher_signs(seed, b, n)` bit for bit: the pass follows numpy's
+    SeedSequence/PCG64 seeding and the bit rule of `integers(0, 2)`, which
+    tests/test_testing.py checks against the installed numpy.
     """
     values = h.values if isinstance(h, HMatrix) else np.asarray(h, dtype=np.float64)
     n = len(values)
@@ -140,9 +149,7 @@ def wild_bootstrap(h: HMatrix | np.ndarray, b_count: int, seed
         raise ValueError("need at least 2 records")
     if b_count < 1:
         raise ValueError("need at least 1 bootstrap draw")
-    signs = np.empty((b_count, n), dtype=np.float64)
-    for b in range(b_count):
-        signs[b] = rademacher_signs(seed, b, n)
+    signs = sign_rows(seed, b_count, n, SK_BOOTSTRAP)
     # Row b of (S H * S) sums to w_b' H w_b.
     quad = ((signs @ values) * signs).sum(axis=1)
     draws = (quad - np.trace(values)) / (n * (n - 1.0))

@@ -509,6 +509,14 @@ class TestMmdMatrix:
             mmd_sq_matrix([[("A",)], [("A",), ("B",)]],
                           KernelSpec("exp-hamming"))
 
+    def test_rejects_no_sample_sets(self):
+        ky = KernelSpec("exp-hamming")
+        with pytest.raises(ValueError, match="at least one sample set"):
+            mmd_sq_matrix([], ky)
+        with pytest.raises(ValueError, match="at least one sample set"):
+            distribution_gram(
+                KernelSpec("dist-expmmd", sigma=1.0, inner=ky), [])
+
 
 class TestDistributionGram:
     def test_matches_exp_of_mmd(self, rng):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from acmmd._rng import SK_BOOTSTRAP, SK_DECISION, derive, generator
+from acmmd._rng import (SK_BOOTSTRAP, SK_DECISION, _child_states,
+                        as_seed_sequence, derive, generator, sign_rows)
 from acmmd.estimator import HMatrix, h_matrix
 from acmmd.kernels import KernelSpec
 from acmmd.records import Item, Triplet
@@ -63,6 +65,57 @@ class TestWildBootstrap:
             wild_bootstrap(np.zeros((1, 1)), 10, seed=0)
         with pytest.raises(ValueError, match="at least 1"):
             wild_bootstrap(np.zeros((3, 3)), 0, seed=0)
+
+
+entropies = st.one_of(
+    st.integers(0, 2**256),
+    st.lists(st.integers(0, 2**64), max_size=9),
+    st.lists(st.integers(0, 2**32 - 1), max_size=9).map(
+        lambda words: np.array(words, dtype=np.uint32)))
+
+
+@st.composite
+def seeds(draw):
+    """An int seed, or a SeedSequence with any entropy form, pool size 4 or
+    8 and a spawn key whose words may exceed 32 bits."""
+    entropy = draw(entropies)
+    if isinstance(entropy, int) and draw(st.booleans()):
+        return entropy
+    key = draw(st.lists(st.integers(0, 2**70), max_size=3))
+    return np.random.SeedSequence(entropy, spawn_key=tuple(key),
+                                  pool_size=draw(st.sampled_from([4, 8])))
+
+
+class TestSignRows:
+    @given(seeds(), st.integers(1, 64), st.integers(1, 201))
+    @settings(max_examples=100, deadline=None)
+    @example(2**256, 64, 1)
+    @example(derive(3, 2**32, 2**64 + 5), 7, 2)
+    @example(np.random.SeedSequence([2**40, 1], pool_size=8), 5, 3)
+    def test_rows_equal_rademacher_signs(self, seed, count, n):
+        rows = sign_rows(seed, count, n, SK_BOOTSTRAP)
+        expected = np.stack([rademacher_signs(seed, b, n)
+                             for b in range(count)])
+        assert rows.dtype == expected.dtype
+        assert np.array_equal(rows, expected)
+        # `derive` seeds every stream at the default pool size, so the seed's
+        # own pool size is checked on the child states.
+        base = as_seed_sequence(seed)
+        key = tuple(base.spawn_key) + (SK_BOOTSTRAP,)
+        shared = np.random.SeedSequence(base.entropy, spawn_key=key,
+                                        pool_size=base.pool_size)
+        children = [np.random.SeedSequence(
+            base.entropy, spawn_key=key + (b,), pool_size=base.pool_size
+        ).generate_state(4, np.uint64) for b in range(count)]
+        assert np.array_equal(
+            _child_states(shared, np.arange(count, dtype=np.uint32)), children)
+
+    def test_rejects_indices_beyond_one_key_word(self):
+        # Raised before the 2**32-row matrix is allocated.
+        with pytest.raises(ValueError, match=r"count < 2\*\*32"):
+            sign_rows(0, 2**32, 200, SK_BOOTSTRAP)
+        with pytest.raises(ValueError, match="spawn key"):
+            sign_rows(0, 3, 5)
 
 
 class TestQuantileIndex:
