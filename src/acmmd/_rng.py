@@ -44,10 +44,12 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def derive(seed, *key: int) -> np.random.SeedSequence:
-    """Child SeedSequence for the stream identified by `key` under `seed`."""
+    """Child SeedSequence for the stream identified by `key` under `seed`;
+    it keeps the seed's entropy, spawn key and pool size."""
     base = as_seed_sequence(seed)
     return np.random.SeedSequence(entropy=base.entropy,
-                                  spawn_key=tuple(base.spawn_key) + key)
+                                  spawn_key=tuple(base.spawn_key) + key,
+                                  pool_size=base.pool_size)
 
 
 def generator(seed, *key: int) -> np.random.Generator:

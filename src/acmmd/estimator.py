@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, resolve_spec
+from .kernels import KernelSpec, difference_gram, gram, resolve_spec
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,21 @@ def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
     if len(triplets) < 2:
         raise ValueError("need at least 2 records")
     xs = [t.x for t in triplets]
-    outputs = [t.y_model for t in triplets] + [t.y for t in triplets]
     kx = resolve_spec(kx, xs)
-    ky = resolve_spec(ky, outputs)
-    return h_matrix_from_grams(gram(kx, xs), gram(ky, outputs), kx, ky)
+    # g first: the output Grams' peak then does not add the input Gram.
+    g, ky = difference_gram(ky, [t.y_model for t in triplets],
+                            [t.y for t in triplets])
+    return h_matrix_from_grams(gram(kx, xs), g, kx, ky)
 
 
-def h_matrix_from_grams(kx_gram: np.ndarray, joint: np.ndarray,
+def h_matrix_from_grams(kx_gram: np.ndarray, g: np.ndarray,
                         kx: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """Assemble h = kx_gram * g from the input Gram and the output Gram.
+    """Assemble h = kx_gram * g from the input Gram and the output term.
 
-    `joint` is the (2N, 2N) output Gram over [model outputs; data outputs],
-    whose four blocks give g = (kmm + kyy) - (kmy + kmy^T) at once. Both
-    sums are symmetric, so g and h are exactly symmetric.
+    g is `difference_gram` of ky over the model outputs and the data
+    outputs. It is exactly symmetric, and so is h. Every h path ends here:
+    the GoF and reliability record adapters and the toy sweep's columns.
     """
-    n = len(kx_gram)
-    kmm = joint[:n, :n]
-    kyy = joint[n:, n:]
-    kmy = joint[:n, n:]
-    g = (kmm + kyy) - (kmy + kmy.T)
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
 
 
@@ -82,8 +78,7 @@ def acmmd_sq(h: HMatrix | np.ndarray) -> float:
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 records")
-    iu = np.triu_indices(n, 1)
-    return float(values[iu].mean())
+    return float(values[~np.tri(n, dtype=bool)].mean())  # the pairs i < j
 
 
 def sigma_h_sq(h: HMatrix | np.ndarray) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .estimator import HMatrix, acmmd_sq, h_matrix_from_grams
-from .kernels import KernelSpec, distribution_gram, gram, resolve_spec
+from .kernels import KernelSpec, difference_gram, distribution_gram
 from .testing import TestReport, test_from_h
 
 
@@ -40,9 +40,9 @@ def rel_h_matrix(records, kp: KernelSpec, ky: KernelSpec) -> HMatrix:
     if len(records) < 2:
         raise ValueError("need at least 2 records")
     khat, kp, _ = distribution_gram(kp, [r.model_samples for r in records])
-    outputs = [r.y_model for r in records] + [r.y for r in records]
-    ky = resolve_spec(ky, outputs)
-    return h_matrix_from_grams(khat, gram(ky, outputs), kp, ky)
+    g, ky = difference_gram(ky, [r.y_model for r in records],
+                            [r.y for r in records])
+    return h_matrix_from_grams(khat, g, kp, ky)
 
 
 def acmmd_rel_sq(records, ky: KernelSpec,

@@ -21,10 +21,11 @@ import numpy as np
 
 from ._rng import SK_CELL, SK_GROUP, derive
 from .errors import ConfigError, DataError
-from .kernels import KernelSpec
-from .reliability import acmmd_rel_test, default_inner_samples
-from .testing import acmmd_test
-from .toy import ToyConfig, generate_reliability_records, generate_triplets
+from .estimator import HMatrix, h_matrix, h_matrix_from_grams
+from .kernels import KernelSpec, difference_gram, distribution_gram, gram
+from .reliability import default_inner_samples, rel_h_matrix
+from .testing import test_from_h
+from .toy import ToyConfig, _sample_columns
 
 CSV_FIELDS = ("n", "delta_p", "seed", "statistic", "p_value", "reject",
               "runtime_ms")
@@ -74,29 +75,40 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
     data_seed = derive(plan.seed, plan.domain, ci, si, 0)
     test_seed = derive(plan.seed, plan.domain, ci, si, 1)
     start = time.perf_counter() if plan.timings else 0.0
+    kp = (KernelSpec("dist-expmmd", sigma=plan.sigma_p, inner=plan.ky)
+          if plan.family == "rel" else None)
     if isinstance(source, ToyConfig):
-        if plan.family == "rel":
-            r = plan.inner_samples or default_inner_samples(n)
-            records = generate_reliability_records(source, n, r, data_seed)
+        h = _toy_h(plan, kp, n, source, data_seed)
+    else:
+        if n < len(source):
+            rng = np.random.Generator(np.random.PCG64(data_seed))
+            idx = rng.choice(len(source), size=n, replace=False)
+            records = [source[i] for i in sorted(idx)]
         else:
-            records = generate_triplets(source, n, data_seed)
-    elif n < len(source):
-        rng = np.random.Generator(np.random.PCG64(data_seed))
-        idx = rng.choice(len(source), size=n, replace=False)
-        records = [source[i] for i in sorted(idx)]
-    else:
-        records = list(source)
-    if plan.family == "rel":
-        report = acmmd_rel_test(records, plan.ky, sigma=plan.sigma_p,
-                                alpha=plan.alpha, b_count=plan.bootstrap,
-                                seed=test_seed)
-    else:
-        report = acmmd_test(records, plan.kx, plan.ky, alpha=plan.alpha,
-                            b_count=plan.bootstrap, seed=test_seed)
+            records = list(source)
+        h = (h_matrix(records, plan.kx, plan.ky) if kp is None
+             else rel_h_matrix(records, kp, plan.ky))
+    report = test_from_h(h, plan.alpha, plan.bootstrap, test_seed)
     elapsed = (time.perf_counter() - start) * 1e3 if plan.timings else 0.0
     return SweepRow(n=n, label=label, seed=si, statistic=report.statistic,
                     p_value=report.p_value, reject=report.reject,
                     runtime_ms=elapsed)
+
+
+def _toy_h(plan: _Plan, kp: KernelSpec | None, n: int, toy: ToyConfig,
+           data_seed) -> HMatrix:
+    """h of one toy run from its sampled columns, with no record objects:
+    the h of `h_matrix` or `rel_h_matrix` on the generated records."""
+    if kp is None:
+        p, ys, yms, _ = _sample_columns(toy, n, data_seed)
+        # The toy's input kernel has a numeric bandwidth.
+        kx, kx_gram = plan.kx, gram(plan.kx, p[:, None])
+    else:
+        r = plan.inner_samples or default_inner_samples(n)
+        _, ys, yms, sample_sets = _sample_columns(toy, n, data_seed, r)
+        kx_gram, kx, _ = distribution_gram(kp, sample_sets)
+    g, ky = difference_gram(plan.ky, yms, ys)
+    return h_matrix_from_grams(kx_gram, g, kx, ky)
 
 
 # The plan of the pool this process works for; set only in pool workers.

@@ -117,9 +117,10 @@ class ToyConfig:
 
 def _split_tokens(lens: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]:
     """Cut a flat 0/1 symbol stream into per-row token tuples."""
-    toks = np.array(TOY_SYMBOLS, dtype=object)[bits]
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    return [tuple(toks[offsets[i]:offsets[i + 1]]) for i in range(len(lens))]
+    # Slices of a list: a numpy object-array slice costs 5x as much.
+    toks = np.array(TOY_SYMBOLS, dtype=object)[bits].tolist()
+    ends = np.cumsum(lens).tolist()
+    return [tuple(toks[end - n:end]) for n, end in zip(lens.tolist(), ends)]
 
 
 def sample_data_sequences(p_arr: np.ndarray, rng: np.random.Generator
@@ -171,18 +172,41 @@ def sample_inputs(prior: ToyPrior, n: int, rng: np.random.Generator
     return np.asarray(prior.atoms, dtype=np.float64)[idx]
 
 
+def _sample_columns(config: ToyConfig, n: int, seed,
+                    inner_samples: int | None = None):
+    """The columns of n toy records, in the fixed draw order: inputs, data
+    outputs, model outputs, then (with `inner_samples`) the flat block of
+    per-record model samples.
+
+    Returns:
+        (p, ys, yms, sample_sets): the (n,) inputs, two lists of n token
+        tuples, and a list of n tuples of `inner_samples` token tuples, or
+        None without `inner_samples`.
+    """
+    if n < 0:
+        raise ValueError("record count must be nonnegative")
+    if inner_samples is not None and inner_samples < 2:
+        raise ValueError("need at least 2 model samples per record")
+    rng = generator(seed, SK_DATA)
+    p_arr = sample_inputs(config.prior, n, rng)
+    ys = sample_data_sequences(p_arr, rng)
+    yms = sample_model_sequences(p_arr, config.delta_p, rng)
+    if inner_samples is None:
+        return p_arr, ys, yms, None
+    flat = sample_model_sequences(np.repeat(p_arr, inner_samples),
+                                  config.delta_p, rng)
+    sample_sets = [tuple(flat[i:i + inner_samples])
+                   for i in range(0, n * inner_samples, inner_samples)]
+    return p_arr, ys, yms, sample_sets
+
+
 def generate_triplets(config: ToyConfig, n: int, seed) -> list[Triplet]:
     """n records (x=p, y ~ data process, y_model ~ model) for testing.
 
     Draw order is fixed (inputs, then data outputs, then model outputs), so
     a given seed always yields the same records.
     """
-    if n < 0:
-        raise ValueError("record count must be nonnegative")
-    rng = generator(seed, SK_DATA)
-    p_arr = sample_inputs(config.prior, n, rng)
-    ys = sample_data_sequences(p_arr, rng)
-    yms = sample_model_sequences(p_arr, config.delta_p, rng)
+    p_arr, ys, yms, _ = _sample_columns(config, n, seed)
     return [
         Triplet(x=Item(scalar=p), y=Item(tokens=y), y_model=Item(tokens=ym),
                 group=f"p={p:g}")
@@ -198,24 +222,14 @@ def generate_reliability_records(config: ToyConfig, n: int,
     Draw order is fixed: inputs, data outputs, model outputs, then the flat
     block of per-record model samples.
     """
-    if n < 0:
-        raise ValueError("record count must be nonnegative")
-    if inner_samples < 2:
-        raise ValueError("need at least 2 model samples per record")
-    rng = generator(seed, SK_DATA)
-    p_arr = sample_inputs(config.prior, n, rng)
-    ys = sample_data_sequences(p_arr, rng)
-    yms = sample_model_sequences(p_arr, config.delta_p, rng)
-    p_rep = np.repeat(p_arr, inner_samples)
-    flat = sample_model_sequences(p_rep, config.delta_p, rng)
-    records = []
-    for i in range(n):
-        block = flat[i * inner_samples:(i + 1) * inner_samples]
-        records.append(ReliabilityRecord(
-            y=Item(tokens=ys[i]), y_model=Item(tokens=yms[i]),
-            model_samples=block,
-            x=Item(scalar=p_arr[i]), group=f"p={p_arr[i]:g}"))
-    return records
+    p_arr, ys, yms, sample_sets = _sample_columns(config, n, seed,
+                                                  inner_samples)
+    return [
+        ReliabilityRecord(y=Item(tokens=y), y_model=Item(tokens=ym),
+                          model_samples=samples, x=Item(scalar=p),
+                          group=f"p={p:g}")
+        for p, y, ym, samples in zip(p_arr, ys, yms, sample_sets)
+    ]
 
 
 # ---------------------------------------------------------------------------

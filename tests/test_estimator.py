@@ -143,6 +143,13 @@ class TestAcmmdSq:
                          kx=h.kx, ky=h.ky)
         assert acmmd_sq(spiked) == pytest.approx(acmmd_sq(h), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 200])
+    def test_mask_mean_equals_triu_gather_mean(self, n):
+        values = np.random.default_rng(n).normal(size=(n, n))
+        values += values.T
+        iu = np.triu_indices(n, 1)
+        assert acmmd_sq(values) == float(values[iu].mean())
+
     def test_negative_values_stay_negative(self):
         values = np.array([[0.0, -1.0], [-1.0, 0.0]])
         h = HMatrix(values=values, kx=KernelSpec("gaussian", sigma=1.0),

@@ -4,10 +4,13 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+import hashlib
+
 import pytest
 from scipy.stats import beta
 
 from acmmd import sweep
+from acmmd.cli import main
 from acmmd.errors import ConfigError, DataError
 from acmmd.kernels import KernelSpec
 from acmmd.sweep import (SweepRow, run_group_sweep, run_toy_sweep,
@@ -182,6 +185,53 @@ def _blas_threads() -> int:
     get.argtypes = []
     get.restype = ctypes.c_int
     return get()
+
+
+# Bytes of two small toy sweeps, one per family, as written before the
+# sweep passed sampled columns straight to the h engine; the summaries are
+# pinned by SHA-256. Any change to sampling, h, the bootstrap or the
+# decision shows here.
+PINNED_SWEEPS = {
+    "gof": (["--n-values", "6,20", "--n-seeds", "3"], (
+    'n,delta_p,seed,statistic,p_value,reject,runtime_ms\n'
+    '6,0.0,0,-0.02290623903545058,0.6774193548387096,0,0\n'
+    '6,0.0,1,0.057122959461448596,0.1935483870967742,0,0\n'
+    '6,0.0,2,-0.10627089291415917,0.3225806451612903,0,0\n'
+    '20,0.0,0,-0.023740444492105547,0.8709677419354839,0,0\n'
+    '20,0.0,1,-0.005414798152916842,0.5806451612903226,0,0\n'
+    '20,0.0,2,0.21593992709311557,0.03225806451612903,1,0\n'
+    '6,0.25,0,-0.015764487745922446,0.5806451612903226,0,0\n'
+    '6,0.25,1,-0.053210776603907536,0.5161290322580645,0,0\n'
+    '6,0.25,2,0.03606804094679397,0.12903225806451613,0,0\n'
+    '20,0.25,0,0.04673585283262782,0.0967741935483871,0,0\n'
+    '20,0.25,1,0.011799123274920227,0.25806451612903225,0,0\n'
+    '20,0.25,2,0.05142964266635129,0.06451612903225806,1,0\n'
+    ), "7ded356f7418086e5866e937bd714201af946729f743046c2de6b561a7586961"),
+    "rel": (["--family", "rel", "--n-values", "20,40", "--n-seeds", "2"], (
+    'n,delta_p,seed,statistic,p_value,reject,runtime_ms\n'
+    '20,0.0,0,-0.05837401705000448,0.7419354838709677,0,0\n'
+    '20,0.0,1,-0.018754947116790276,0.7741935483870968,0,0\n'
+    '40,0.0,0,-0.02337175991621635,0.8387096774193549,0,0\n'
+    '40,0.0,1,0.1433876094158473,0.41935483870967744,0,0\n'
+    '20,0.25,0,0.14914948119851915,0.06451612903225806,0,0\n'
+    '20,0.25,1,-0.12093396442012315,0.8064516129032258,0,0\n'
+    '40,0.25,0,0.01773254589367533,0.22580645161290322,0,0\n'
+    '40,0.25,1,0.15319055619417313,0.03225806451612903,1,0\n'
+    ), "2823c7045ec391ccf0a0a8e01c8caa7546e14056e4a95fde4ab979d407e135b2"),
+}
+
+
+class TestPinnedSweeps:
+    @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+    def test_bytes_unchanged(self, name, tmp_path, monkeypatch, capsys):
+        flags, csv_text, summary_sha = PINNED_SWEEPS[name]
+        monkeypatch.chdir(tmp_path)  # the summary records the --out path
+        assert main(["sweep", *flags, "--delta-p-values", "0.0,0.25",
+                     "--bootstrap", "30", "--seed", "11",
+                     "--out", f"{name}.csv"]) == 0
+        assert (tmp_path / f"{name}.csv").read_text() == csv_text
+        summary = (tmp_path / f"{name}.summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == summary_sha
 
 
 class TestWorkerBlasThreads:

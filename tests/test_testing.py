@@ -98,8 +98,7 @@ class TestSignRows:
                              for b in range(count)])
         assert rows.dtype == expected.dtype
         assert np.array_equal(rows, expected)
-        # `derive` seeds every stream at the default pool size, so the seed's
-        # own pool size is checked on the child states.
+        # The child states are also checked on their own.
         base = as_seed_sequence(seed)
         key = tuple(base.spawn_key) + (SK_BOOTSTRAP,)
         shared = np.random.SeedSequence(base.entropy, spawn_key=key,
@@ -109,6 +108,22 @@ class TestSignRows:
         ).generate_state(4, np.uint64) for b in range(count)]
         assert np.array_equal(
             _child_states(shared, np.arange(count, dtype=np.uint32)), children)
+
+    def test_seed_sequence_keeps_its_pool_size(self):
+        wide = np.random.SeedSequence(5, pool_size=8)
+        assert derive(wide, 1).pool_size == 8
+        assert not np.array_equal(generator(wide, 1).integers(0, 2**62, 8),
+                                  generator(5, 1).integers(0, 2**62, 8))
+        rows = sign_rows(wide, 20, 50, SK_BOOTSTRAP)
+        assert not np.array_equal(rows, sign_rows(5, 20, 50, SK_BOOTSTRAP))
+        assert np.array_equal(rows, np.stack(
+            [rademacher_signs(wide, b, 50) for b in range(20)]))
+
+    def test_integer_seed_streams_unchanged(self):
+        assert np.array_equal(
+            generator(5, 1).integers(0, 2**62, 4),
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                5, spawn_key=(1,)))).integers(0, 2**62, 4))
 
     def test_rejects_indices_beyond_one_key_word(self):
         # Raised before the 2**32-row matrix is allocated.

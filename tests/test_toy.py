@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from acmmd._rng import generator
+from acmmd._rng import SK_DATA, generator
 from acmmd.kernels import KernelSpec
+from acmmd.records import Item, ReliabilityRecord, Triplet
 from acmmd.toy import (TOY_ALPHABET, TOY_SYMBOLS, ToyConfig, ToyPrior,
                        acmmd_rel_sq_exact, acmmd_sq_exact,
                        generate_reliability_records, generate_triplets,
-                       mmd_sq_models_exact, sample_data_sequences,
-                       sample_inputs, sample_model_sequences)
+                       _sample_columns, mmd_sq_models_exact,
+                       sample_data_sequences, sample_inputs,
+                       sample_model_sequences)
 
 from conftest import (oracle_data_sequence, oracle_length_probability,
                       oracle_model_sequence)
@@ -181,6 +183,43 @@ class TestGenerate:
         assert [x.x.scalar for x in t] == [x.x.scalar for x in r]
         assert [x.y.tokens for x in t] == [x.y.tokens for x in r]
         assert [x.y_model.tokens for x in t] == [x.y_model.tokens for x in r]
+
+
+class TestSampleColumns:
+    @pytest.mark.parametrize("seed", [0, 7, 2101])
+    def test_columns_in_records_are_the_generated_records(self, seed):
+        config = ToyConfig(delta_p=0.25)
+        p, ys, yms, none = _sample_columns(config, 40, seed)
+        assert none is None
+        assert generate_triplets(config, 40, seed) == [
+            Triplet(x=Item(scalar=x), y=Item(tokens=y),
+                    y_model=Item(tokens=ym), group=f"p={x:g}")
+            for x, y, ym in zip(p, ys, yms)]
+        p, ys, yms, sets = _sample_columns(config, 40, seed, 6)
+        assert generate_reliability_records(config, 40, 6, seed) == [
+            ReliabilityRecord(y=Item(tokens=y), y_model=Item(tokens=ym),
+                              model_samples=s, x=Item(scalar=x),
+                              group=f"p={x:g}")
+            for x, y, ym, s in zip(p, ys, yms, sets)]
+
+    def test_draw_order(self):
+        # Inputs, data outputs, model outputs, then the flat sample block.
+        config = ToyConfig(delta_p=0.25)
+        rng = generator(11, SK_DATA)
+        p = sample_inputs(config.prior, 30, rng)
+        ys = sample_data_sequences(p, rng)
+        yms = sample_model_sequences(p, 0.25, rng)
+        flat = sample_model_sequences(np.repeat(p, 5), 0.25, rng)
+        got = _sample_columns(config, 30, 11, 5)
+        assert np.array_equal(got[0], p)
+        assert (got[1], got[2]) == (ys, yms)
+        assert got[3] == [tuple(flat[5 * i:5 * i + 5]) for i in range(30)]
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _sample_columns(ToyConfig(), -1, 0)
+        with pytest.raises(ValueError, match="at least 2 model samples"):
+            _sample_columns(ToyConfig(), 3, 0, 1)
 
 
 class TestClosedForms:
