@@ -31,8 +31,8 @@ from ._rng import SK_GROUP, derive
 from .config import (config_alpha, config_delta_p_values, config_family,
                      config_group_by, config_kernel, config_n_values,
                      config_optional_positive_int, config_positive_int,
-                     config_rel_kernel_y, config_seed, config_sigma_p,
-                     config_toy, resolve_config)
+                     config_rel_kernel_y, config_sigma_p, config_toy,
+                     resolve_config)
 from .errors import ConfigError, DataError
 from .estimator import acmmd_sq, h_matrix, sigma_h_sq
 from .io import (load_reliability_records, load_triplets, write_report,
@@ -198,7 +198,7 @@ def test(input_path, out_path, config_path, **flags):
     ky = config_kernel(cfg, "kernel_y")
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
-    seed_v = config_seed(cfg)
+    seed_v = config_positive_int(cfg, "seed", minimum=0)
     group_by = config_group_by(cfg)
     records, _ = load_triplets(input_path)
     report: dict = {"command": "test", "input": str(input_path),
@@ -262,7 +262,7 @@ def rel_test(input_path, out_path, config_path, **flags):
     trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
-    seed_v = config_seed(cfg)
+    seed_v = config_positive_int(cfg, "seed", minimum=0)
     group_by = config_group_by(cfg)
     records, _ = load_reliability_records(input_path)
     records = _trim_model_samples(records, trim)
@@ -310,7 +310,7 @@ def sweep(input_path, out_path, config_path, **flags):
     family_v = config_family(cfg)
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
-    seed_v = config_seed(cfg)
+    seed_v = config_positive_int(cfg, "seed", minimum=0)
     n_seeds_v = config_positive_int(cfg, "n_seeds")
     workers_v = config_positive_int(cfg, "workers")
     sigma = config_sigma_p(cfg)
@@ -386,11 +386,9 @@ def toy_generate(out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
     if cfg["n"] is None:
         raise ConfigError("n is required")
-    n_v = cfg["n"]
-    if not isinstance(n_v, int) or isinstance(n_v, bool) or n_v < 0:
-        raise ConfigError(f"n must be a nonnegative integer, got {n_v!r}")
+    n_v = config_positive_int(cfg, "n", minimum=0)
     toy = config_toy(cfg)
-    seed_v = config_seed(cfg)
+    seed_v = config_positive_int(cfg, "seed", minimum=0)
     family_v = config_family(cfg)
     if family_v == "rel":
         r = config_optional_positive_int(cfg, "inner_samples", minimum=2)

@@ -142,13 +142,6 @@ def config_optional_positive_int(cfg: dict, key: str, minimum: int = 1
     return config_positive_int(cfg, key, minimum)
 
 
-def config_seed(cfg: dict) -> int:
-    value = cfg["seed"]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
-    return value
-
-
 def config_family(cfg: dict) -> str:
     family = cfg["family"]
     if family not in FAMILIES:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, difference_gram, gram, resolve_spec
+from .kernels import (DISTRIBUTION_KINDS, KernelSpec, difference_gram,
+                      distribution_gram, gram, resolve_spec)
 
 
 @dataclass(frozen=True)
@@ -41,35 +42,45 @@ class HMatrix:
         return len(self.values)
 
 
-def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """All pairwise h values for a list of (x, y, y_model) records.
+def h_from_columns(kx: KernelSpec, inputs, ky: KernelSpec, y_model, y
+                   ) -> HMatrix:
+    """All pairwise h values from the columns of N records.
 
-    Median bandwidths resolve over this dataset: kx over the inputs, ky over
-    the union of data and model outputs.
+    The kind of `kx` picks the input Gram: khat (`distribution_gram`) over
+    one sample set per record for dist-expmmd, `gram` over the inputs for
+    any other kind. Median bandwidths resolve over this data, ky's over the
+    model and data outputs together. h is exactly symmetric.
 
     Raises:
         ValueError: fewer than 2 records.
     """
-    triplets = list(triplets)
-    if len(triplets) < 2:
+    if len(y) < 2:
         raise ValueError("need at least 2 records")
-    xs = [t.x for t in triplets]
-    kx = resolve_spec(kx, xs)
-    # g first: the output Grams' peak then does not add the input Gram.
-    g, ky = difference_gram(ky, [t.y_model for t in triplets],
-                            [t.y for t in triplets])
-    return h_matrix_from_grams(gram(kx, xs), g, kx, ky)
-
-
-def h_matrix_from_grams(kx_gram: np.ndarray, g: np.ndarray,
-                        kx: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """Assemble h = kx_gram * g from the input Gram and the output term.
-
-    g is `difference_gram` of ky over the model outputs and the data
-    outputs. It is exactly symmetric, and so is h. Every h path ends here:
-    the GoF and reliability record adapters and the toy sweep's columns.
-    """
+    # The side with the larger transient goes first, so that its peak does
+    # not add to the other side's result: the MMD^2 panels for khat, the
+    # vocabulary gathers for g.
+    if kx.kind in DISTRIBUTION_KINDS:
+        kx_gram, kx = distribution_gram(kx, inputs)
+        g, ky = difference_gram(ky, y_model, y)
+    else:
+        g, ky = difference_gram(ky, y_model, y)
+        kx = resolve_spec(kx, inputs)
+        kx_gram = gram(kx, inputs)
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
+
+
+def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
+    """`h_from_columns` over a list of (x, y, y_model) records.
+
+    Raises:
+        ValueError: fewer than 2 records, or a dist-expmmd `kx`.
+    """
+    if kx.kind in DISTRIBUTION_KINDS:
+        raise ValueError("dist-expmmd is for reliability records (rel_h_matrix)")
+    triplets = list(triplets)
+    return h_from_columns(kx, [t.x for t in triplets], ky,
+                          [t.y_model for t in triplets],
+                          [t.y for t in triplets])
 
 
 def acmmd_sq(h: HMatrix | np.ndarray) -> float:

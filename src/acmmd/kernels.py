@@ -475,7 +475,7 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
 
 
 def distribution_gram(spec: KernelSpec, sample_sets
-                      ) -> tuple[np.ndarray, KernelSpec, np.ndarray]:
+                      ) -> tuple[np.ndarray, KernelSpec]:
     """Self-Gram of the exponentiated-MMD kernel over sample sets.
 
     Entries are e^(-MMD^2 / (2 sigma^2)) and may exceed 1 because the
@@ -486,7 +486,7 @@ def distribution_gram(spec: KernelSpec, sample_sets
     diagonal is 0, so the diagonal values are 1.
 
     Returns:
-        (values, resolved spec, the MMD^2 matrix).
+        (values, resolved spec).
     """
     if spec.kind not in DISTRIBUTION_KINDS:
         raise ValueError(f"not a distribution kernel: {spec.kind}")
@@ -500,4 +500,4 @@ def distribution_gram(spec: KernelSpec, sample_sets
         raise ValueError(
             f"khat overflows: sigma_p={spec.sigma_resolved!r} is too small "
             f"for the smallest MMD^2 estimate, {float(mmd.min())!r}")
-    return values, spec, mmd
+    return values, spec

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .estimator import HMatrix, acmmd_sq, h_matrix_from_grams
-from .kernels import KernelSpec, difference_gram, distribution_gram
+from .estimator import HMatrix, acmmd_sq, h_from_columns
+from .kernels import DISTRIBUTION_KINDS, KernelSpec
 from .testing import TestReport, test_from_h
 
 
@@ -30,19 +30,18 @@ def default_inner_samples(n: int) -> int:
 
 
 def rel_h_matrix(records, kp: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """h matrix for reliability records: khat takes the input Gram's place.
+    """`h_from_columns` over reliability records: khat, the `kp`
+    (dist-expmmd) Gram over their model-sample sets, is the input Gram.
 
-    khat is the `kp` (dist-expmmd) Gram over the records' model-sample sets.
-    The output kernel's median bandwidth resolves over the union of model
-    and data outputs.
+    Raises:
+        ValueError: fewer than 2 records, or `kp` not a distribution kernel.
     """
+    if kp.kind not in DISTRIBUTION_KINDS:
+        raise ValueError(f"not a distribution kernel: {kp.kind}")
     records = list(records)
-    if len(records) < 2:
-        raise ValueError("need at least 2 records")
-    khat, kp, _ = distribution_gram(kp, [r.model_samples for r in records])
-    g, ky = difference_gram(ky, [r.y_model for r in records],
-                            [r.y for r in records])
-    return h_matrix_from_grams(khat, g, kp, ky)
+    return h_from_columns(kp, [r.model_samples for r in records], ky,
+                          [r.y_model for r in records],
+                          [r.y for r in records])
 
 
 def acmmd_rel_sq(records, ky: KernelSpec,

@@ -70,7 +70,6 @@ def encode_sequences(seqs: Sequence[Tokens]) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     width = int(lengths.max()) if len(seqs) else 0
     codes = np.full((len(seqs), width), pad, dtype=np.uint16)
-    for i, s in enumerate(seqs):
-        if s:
-            codes[i, :len(s)] = [code_of[t] for t in s]
+    codes[np.arange(width) < lengths[:, None]] = [code_of[t] for s in seqs
+                                                  for t in s]
     return codes, lengths

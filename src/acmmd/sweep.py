@@ -21,8 +21,8 @@ import numpy as np
 
 from ._rng import SK_CELL, SK_GROUP, derive
 from .errors import ConfigError, DataError
-from .estimator import HMatrix, h_matrix, h_matrix_from_grams
-from .kernels import KernelSpec, difference_gram, distribution_gram, gram
+from .estimator import h_from_columns, h_matrix
+from .kernels import DISTRIBUTION_KINDS, KernelSpec
 from .reliability import default_inner_samples, rel_h_matrix
 from .testing import test_from_h
 from .toy import ToyConfig, _sample_columns
@@ -53,15 +53,14 @@ class _Plan:
 
     A cell is (n, label, source): `source` is a ToyConfig to sample n
     records from, or a group's records, subsampled to n when n is smaller.
-    `domain` (SK_CELL or SK_GROUP) keys the seeds each run derives.
+    `kx` is the input kernel, dist-expmmd for reliability runs. `domain`
+    (SK_CELL or SK_GROUP) keys the seeds each run derives.
     """
 
-    family: str
-    kx: KernelSpec | None
+    kx: KernelSpec
     ky: KernelSpec
     alpha: float
     bootstrap: int
-    sigma_p: float | str
     inner_samples: int | None
     seed: int
     domain: int
@@ -75,10 +74,12 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
     data_seed = derive(plan.seed, plan.domain, ci, si, 0)
     test_seed = derive(plan.seed, plan.domain, ci, si, 1)
     start = time.perf_counter() if plan.timings else 0.0
-    kp = (KernelSpec("dist-expmmd", sigma=plan.sigma_p, inner=plan.ky)
-          if plan.family == "rel" else None)
+    rel = plan.kx.kind in DISTRIBUTION_KINDS
     if isinstance(source, ToyConfig):
-        h = _toy_h(plan, kp, n, source, data_seed)
+        r = (plan.inner_samples or default_inner_samples(n)) if rel else None
+        p, ys, yms, sample_sets = _sample_columns(source, n, data_seed, r)
+        h = h_from_columns(plan.kx, sample_sets if rel else p[:, None],
+                           plan.ky, yms, ys)
     else:
         if n < len(source):
             rng = np.random.Generator(np.random.PCG64(data_seed))
@@ -86,8 +87,7 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
             records = [source[i] for i in sorted(idx)]
         else:
             records = list(source)
-        h = (h_matrix(records, plan.kx, plan.ky) if kp is None
-             else rel_h_matrix(records, kp, plan.ky))
+        h = (rel_h_matrix if rel else h_matrix)(records, plan.kx, plan.ky)
     report = test_from_h(h, plan.alpha, plan.bootstrap, test_seed)
     elapsed = (time.perf_counter() - start) * 1e3 if plan.timings else 0.0
     return SweepRow(n=n, label=label, seed=si, statistic=report.statistic,
@@ -95,20 +95,12 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
                     runtime_ms=elapsed)
 
 
-def _toy_h(plan: _Plan, kp: KernelSpec | None, n: int, toy: ToyConfig,
-           data_seed) -> HMatrix:
-    """h of one toy run from its sampled columns, with no record objects:
-    the h of `h_matrix` or `rel_h_matrix` on the generated records."""
-    if kp is None:
-        p, ys, yms, _ = _sample_columns(toy, n, data_seed)
-        # The toy's input kernel has a numeric bandwidth.
-        kx, kx_gram = plan.kx, gram(plan.kx, p[:, None])
-    else:
-        r = plan.inner_samples or default_inner_samples(n)
-        _, ys, yms, sample_sets = _sample_columns(toy, n, data_seed, r)
-        kx_gram, kx, _ = distribution_gram(kp, sample_sets)
-    g, ky = difference_gram(plan.ky, yms, ys)
-    return h_matrix_from_grams(kx_gram, g, kx, ky)
+def _input_kernel(family: str, kx: KernelSpec | None, ky: KernelSpec,
+                  sigma_p: float | str) -> KernelSpec:
+    """The plan's input kernel: khat over the model samples for "rel"."""
+    if family == "rel":
+        return KernelSpec("dist-expmmd", sigma=sigma_p, inner=ky)
+    return kx
 
 
 # The plan of the pool this process works for; set only in pool workers.
@@ -179,10 +171,10 @@ def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
     cells = tuple((n, dp, toy.with_delta_p(dp))
                   for dp in delta_p_values for n in n_values)
     return _run_plan(_Plan(
-        family=family, kx=toy.kx, ky=toy.ky, alpha=alpha, bootstrap=bootstrap,
-        sigma_p=sigma_p, inner_samples=inner_samples, seed=seed,
-        domain=SK_CELL, cells=cells, n_seeds=n_seeds, timings=timings),
-        workers)
+        kx=_input_kernel(family, toy.kx, toy.ky, sigma_p), ky=toy.ky,
+        alpha=alpha, bootstrap=bootstrap, inner_samples=inner_samples,
+        seed=seed, domain=SK_CELL, cells=cells, n_seeds=n_seeds,
+        timings=timings), workers)
 
 
 def split_groups(records) -> list[tuple[str, list]]:
@@ -221,8 +213,8 @@ def run_group_sweep(records, family: str, kx: KernelSpec | None,
             raise DataError(f"group {label!r} has fewer than 2 records")
         cells.append((n, label, members))
     return _run_plan(_Plan(
-        family=family, kx=kx, ky=ky, alpha=alpha, bootstrap=bootstrap,
-        sigma_p=sigma_p, inner_samples=None, seed=seed, domain=SK_GROUP,
+        kx=_input_kernel(family, kx, ky, sigma_p), ky=ky, alpha=alpha,
+        bootstrap=bootstrap, inner_samples=None, seed=seed, domain=SK_GROUP,
         cells=tuple(cells), n_seeds=n_seeds, timings=timings), workers)
 
 

@@ -148,21 +148,16 @@ def sample_model_sequences(p_arr: np.ndarray, delta_p: float,
     the outcomes.
     """
     p_arr = np.asarray(p_arr, dtype=np.float64)
-    n = len(p_arr)
-    u = rng.random(n)
+    u = rng.random(len(p_arr))
     tail_lens = rng.geometric(1.0 - 2.0 * p_arr) - 1
     tail_bits = rng.integers(0, 2, size=int(tail_lens.sum()))
-    tails = _split_tokens(tail_lens, tail_bits)
     has_first = u >= 1.0 - 2.0 * p_arr
     first_is_b = u >= 1.0 - p_arr - delta_p
-    out: list[tuple[str, ...]] = []
-    for i in range(n):
-        if not has_first[i]:
-            out.append(())
-        else:
-            first = "B" if first_is_b[i] else "A"
-            out.append((first,) + tails[i])
-    return out
+    # Keep the tails of the rows that survived, each led by its first bit.
+    kept = tail_lens[has_first]
+    bits = np.insert(tail_bits[np.repeat(has_first, tail_lens)],
+                     np.cumsum(kept) - kept, first_is_b[has_first])
+    return _split_tokens(np.where(has_first, tail_lens + 1, 0), bits)
 
 
 def sample_inputs(prior: ToyPrior, n: int, rng: np.random.Generator

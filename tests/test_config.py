@@ -5,7 +5,7 @@ import pytest
 from acmmd.config import (DEFAULTS, config_alpha, config_delta_p_values,
                           config_family, config_kernel, config_n_values,
                           config_optional_positive_int, config_positive_int,
-                          config_seed, config_sigma_p, config_toy,
+                          config_sigma_p, config_toy,
                           load_config_file, resolve_config)
 from acmmd.errors import ConfigError
 from acmmd.kernels import KernelSpec
@@ -83,10 +83,10 @@ class TestValueParsers:
         assert config_optional_positive_int({"k": 3}, "k") == 3
 
     def test_seed(self):
-        assert config_seed({"seed": 0}) == 0
+        assert config_positive_int({"seed": 0}, "seed", minimum=0) == 0
         for bad in (-1, 1.5, True, "0"):
-            with pytest.raises(ConfigError):
-                config_seed({"seed": bad})
+            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+                config_positive_int({"seed": bad}, "seed", minimum=0)
 
     def test_family(self):
         assert config_family({"family": "rel"}) == "rel"

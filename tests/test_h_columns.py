@@ -1,9 +1,9 @@
 """The h engine on columns equals the joint-Gram assembly, bit for bit.
 
-Every h path computes g with `kernels.difference_gram` and h with
-`estimator.h_matrix_from_grams`. The reference here is the assembly that
-engine replaced: one Gram over the joint list [model outputs; data outputs],
-cut into four blocks, g = (kmm + kyy) - (kmy + kmy^T).
+Every h path is `estimator.h_from_columns`, which computes g with
+`kernels.difference_gram`. The reference here is the assembly that engine
+replaced: one Gram over the joint list [model outputs; data outputs], cut
+into four blocks, g = (kmm + kyy) - (kmy + kmy^T).
 """
 
 import dataclasses
@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acmmd._rng import derive
-from acmmd.estimator import h_matrix, h_matrix_from_grams
+from acmmd._rng import SK_CELL, derive
+from acmmd.estimator import h_from_columns, h_matrix
 from acmmd.kernels import (KernelSpec, difference_gram, distribution_gram,
                            gram, resolve_spec)
 from acmmd.records import Item, ReliabilityRecord, Triplet
 from acmmd.reliability import acmmd_rel_test, rel_h_matrix
-from acmmd.sweep import _Plan, _toy_h
+from acmmd.sweep import _Plan, _run
 from acmmd.testing import acmmd_test
 from acmmd.testing import test_from_h as run_test_from_h
-from acmmd.toy import ToyConfig, generate_reliability_records, generate_triplets
+from acmmd.toy import (ToyConfig, _sample_columns, generate_reliability_records,
+                       generate_triplets)
 
 tokens_st = st.lists(st.sampled_from("ABC"), max_size=5).map(tuple)
 nonempty_tokens_st = st.lists(st.sampled_from("ABC"), min_size=1,
@@ -92,10 +93,11 @@ class TestGoFColumns:
         got, want = self.check(triplets, kx, ky)
         # The toy sweep's columns: (n, 1) inputs and bare token tuples.
         p = np.array([[t.x.scalar] for t in triplets])
-        g, _ = difference_gram(ky, [t.y_model.tokens for t in triplets],
-                               [t.y.tokens for t in triplets])
-        columns = h_matrix_from_grams(gram(got.kx, p), g, got.kx, got.ky)
+        columns = h_from_columns(kx, p, ky,
+                                 [t.y_model.tokens for t in triplets],
+                                 [t.y.tokens for t in triplets])
         assert np.array_equal(columns.values, want)
+        assert (columns.kx, columns.ky) == (got.kx, got.ky)
 
     @given(vector_triplets())
     @settings(max_examples=80, deadline=None)
@@ -104,13 +106,12 @@ class TestGoFColumns:
         got, want = self.check(triplets, kx, ky)
         if ky.kind == "gaussian":
             # (n, d) arrays are taken as they are.
-            g, resolved = difference_gram(
-                ky, np.stack([t.y_model.embedding for t in triplets]),
+            columns = h_from_columns(
+                kx, np.stack([t.x.embedding for t in triplets]), ky,
+                np.stack([t.y_model.embedding for t in triplets]),
                 np.stack([t.y.embedding for t in triplets]))
-            assert resolved == got.ky
-            xs = np.stack([t.x.embedding for t in triplets])
-            columns = h_matrix_from_grams(gram(got.kx, xs), g, got.kx, ky)
             assert np.array_equal(columns.values, want)
+            assert (columns.kx, columns.ky) == (got.kx, got.ky)
 
     def test_g_is_exactly_symmetric(self):
         toy = ToyConfig(delta_p=0.25)
@@ -125,6 +126,20 @@ class TestGoFColumns:
             difference_gram(KernelSpec("exp-hamming"), [("A",)], [])
         with pytest.raises(ValueError, match="distribution_gram"):
             difference_gram(KernelSpec("dist-expmmd"), [("A",)], [("A",)])
+
+    def test_h_matrix_rejects_distribution_kx(self):
+        # The engine would take the inputs for sample sets; h_matrix refuses
+        # before that, with a ValueError rather than a TypeError inside.
+        toy = ToyConfig(delta_p=0.25)
+        triplets = generate_triplets(toy, 5, seed=1)
+        kp = KernelSpec("dist-expmmd", sigma=1.0, inner=toy.ky)
+        with pytest.raises(ValueError, match="rel_h_matrix"):
+            h_matrix(triplets, kp, toy.ky)
+
+    def test_rejects_single_record(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            h_from_columns(KernelSpec("gaussian", sigma=1.0), np.zeros((1, 1)),
+                           KernelSpec("exp-hamming"), [("A",)], [("A",)])
 
 
 @st.composite
@@ -147,7 +162,7 @@ class TestRelColumns:
         kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
         sample_sets = [r.model_samples for r in records]
         try:
-            khat, kp_resolved, _ = distribution_gram(kp, sample_sets)
+            khat, kp_resolved = distribution_gram(kp, sample_sets)
         except ValueError as exc:
             assert "khat overflows" in str(exc)
             return
@@ -157,44 +172,53 @@ class TestRelColumns:
         got = rel_h_matrix(records, kp, ky)
         assert np.array_equal(got.values, want)
         assert got.kx == kp_resolved
-        g, _ = difference_gram(ky, [r.y_model.tokens for r in records],
-                               [r.y.tokens for r in records])
-        columns = h_matrix_from_grams(khat, g, kp_resolved, ky)
+        columns = h_from_columns(kp, sample_sets, ky,
+                                 [r.y_model.tokens for r in records],
+                                 [r.y.tokens for r in records])
         assert np.array_equal(columns.values, want)
+        assert columns.kx == kp_resolved
 
 
-def plan(family, **kwargs):
+def toy_cell(rel, seed, n, inner_samples=None):
+    """A toy sweep plan of one cell, and its run's data and test seeds."""
     toy = ToyConfig(delta_p=0.25)
-    fields = dict(family=family, kx=toy.kx, ky=toy.ky, alpha=0.05,
-                  bootstrap=40, sigma_p="median", inner_samples=None, seed=0,
-                  domain=4, cells=(), n_seeds=1, timings=False)
-    fields.update(kwargs)
-    return toy, _Plan(**fields)
+    kx = (KernelSpec("dist-expmmd", sigma="median", inner=toy.ky) if rel
+          else toy.kx)
+    plan = _Plan(kx=kx, ky=toy.ky, alpha=0.05, bootstrap=40,
+                 inner_samples=inner_samples, seed=seed, domain=SK_CELL,
+                 cells=((n, 0.25, toy),), n_seeds=1, timings=False)
+    return (toy, plan, derive(seed, SK_CELL, 0, 0, 0),
+            derive(seed, SK_CELL, 0, 0, 1))
+
+
+def row_fields(report):
+    return report.statistic, report.p_value, report.reject
 
 
 class TestSweepColumns:
     @pytest.mark.parametrize("seed", range(12))
     def test_gof_h_and_report_equal_record_path(self, seed):
-        toy, p = plan("acmmd")
-        data, test = derive(seed, 0), derive(seed, 1)
+        toy, plan, data, test = toy_cell(False, seed, 30)
+        p, ys, yms, _ = _sample_columns(toy, 30, data)
+        got = h_from_columns(plan.kx, p[:, None], plan.ky, yms, ys)
         triplets = generate_triplets(toy, 30, data)
-        got = _toy_h(p, None, 30, toy, data)
         want = h_matrix(triplets, toy.kx, toy.ky)
         assert np.array_equal(got.values, want.values)
         assert (got.kx, got.ky) == (want.kx, want.ky)
-        assert run_test_from_h(got, 0.05, 40, test) == acmmd_test(
-            triplets, toy.kx, toy.ky, b_count=40, seed=test)
+        report = acmmd_test(triplets, toy.kx, toy.ky, b_count=40, seed=test)
+        assert run_test_from_h(got, 0.05, 40, test) == report
+        assert row_fields(_run(plan, 0, 0)) == row_fields(report)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rel_h_and_report_equal_record_path(self, seed):
-        toy, p = plan("rel", inner_samples=6)
-        kp = KernelSpec("dist-expmmd", sigma="median", inner=toy.ky)
-        data, test = derive(seed, 0), derive(seed, 1)
+        toy, plan, data, test = toy_cell(True, seed, 20, inner_samples=6)
+        _, ys, yms, sample_sets = _sample_columns(toy, 20, data, 6)
+        got = h_from_columns(plan.kx, sample_sets, plan.ky, yms, ys)
         records = generate_reliability_records(toy, 20, 6, data)
-        got = _toy_h(p, kp, 20, toy, data)
-        want = rel_h_matrix(records, kp, toy.ky)
+        want = rel_h_matrix(records, plan.kx, toy.ky)
         assert np.array_equal(got.values, want.values)
         assert (got.kx, got.ky) == (want.kx, want.ky)
         report = acmmd_rel_test(records, toy.ky, b_count=40, seed=test)
         assert run_test_from_h(got, 0.05, 40, test) == dataclasses.replace(
             report, extra={})
+        assert row_fields(_run(plan, 0, 0)) == row_fields(report)

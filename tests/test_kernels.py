@@ -523,7 +523,8 @@ class TestDistributionGram:
         sets = [[random_tokens(rng) for _ in range(4)] for _ in range(5)]
         spec = KernelSpec("dist-expmmd", sigma=0.8,
                           inner=KernelSpec("exp-hamming"))
-        values, resolved, mmd = distribution_gram(spec, sets)
+        values, resolved = distribution_gram(spec, sets)
+        mmd = mmd_sq_matrix(sets, spec.inner)
         assert resolved.sigma == 0.8
         for i in range(5):
             for j in range(5):
@@ -534,7 +535,8 @@ class TestDistributionGram:
         sets = [[("A",), ("B",)], [("A",), ("B",)]]
         spec = KernelSpec("dist-expmmd", sigma=1.0,
                           inner=KernelSpec("exp-hamming"))
-        values, _, mmd = distribution_gram(spec, sets)
+        values, _ = distribution_gram(spec, sets)
+        mmd = mmd_sq_matrix(sets, spec.inner)
         assert mmd[0, 1] == pytest.approx(-0.6321205588285577, rel=1e-14)
         assert values[0, 1] == pytest.approx(1.3717129391864922, rel=1e-14)
 
@@ -548,7 +550,7 @@ class TestDistributionGram:
         med = float(np.median(dists[np.triu_indices(len(sets), 1)]))
         want = med if med > 0 else 1.0
         try:
-            _, resolved, _ = distribution_gram(spec, sets)
+            _, resolved = distribution_gram(spec, sets)
         except ValueError as exc:  # a small sigma overflows khat
             assert f"sigma_p={want!r} " in str(exc)
         else:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmmd.estimator import acmmd_sq
-from acmmd.kernels import KernelSpec, distribution_gram
+from acmmd.kernels import KernelSpec, distribution_gram, mmd_sq_matrix
 from acmmd.records import Item, ReliabilityRecord
 from acmmd.reliability import (acmmd_rel_sq, acmmd_rel_test,
                                default_inner_samples, rel_h_matrix)
@@ -15,7 +15,8 @@ from conftest import brute_exp_hamming, brute_mmd_sq, random_tokens
 
 def khat_gram(records, kp):
     """(khat values, resolved spec, MMD^2) over the records' sample sets."""
-    return distribution_gram(kp, [r.model_samples for r in records])
+    sets = [r.model_samples for r in records]
+    return (*distribution_gram(kp, sets), mmd_sq_matrix(sets, kp.inner))
 
 
 def random_records(rng, n, r=4, max_len=4):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acmmd.sequences import Alphabet, encode_sequences
 
@@ -52,6 +52,19 @@ class TestAlphabet:
             Alphabet(("A",), terminal="Z")
 
 
+def loop_encode(seqs):
+    """The row-by-row fill that one masked assignment replaced."""
+    seqs = [tuple(s) for s in seqs]
+    symbols = sorted({tok for s in seqs for tok in s})
+    code_of = {tok: i for i, tok in enumerate(symbols)}
+    width = max(map(len, seqs), default=0)
+    codes = np.full((len(seqs), width), len(symbols), dtype=np.uint16)
+    for i, s in enumerate(seqs):
+        if s:
+            codes[i, :len(s)] = [code_of[t] for t in s]
+    return codes
+
+
 class TestEncodeSequences:
     def test_pad_code_is_symbol_count(self):
         codes, lengths = encode_sequences([("A", "B"), ("B",)])
@@ -76,3 +89,15 @@ class TestEncodeSequences:
             for j in range(len(seqs)):
                 direct = int(np.sum(codes[i] != codes[j]))
                 assert direct == brute_hamming_padded(seqs[i], seqs[j])
+
+    @given(st.lists(st.lists(st.sampled_from(["A", "B", "s07", "s10", "x"]),
+                             max_size=8), max_size=12))
+    @example([])
+    @example([[]])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_loop(self, seqs):
+        codes, lengths = encode_sequences(seqs)
+        want = loop_encode(seqs)
+        assert codes.dtype == want.dtype
+        assert np.array_equal(codes, want)
+        assert lengths.tolist() == [len(s) for s in seqs]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from acmmd._rng import SK_DATA, generator
 from acmmd.kernels import KernelSpec
@@ -20,6 +21,24 @@ from conftest import (oracle_data_sequence, oracle_length_probability,
 def single_atom(p=0.4, delta_p=0.25, lam=1.0, kx_sigma=1.0):
     return ToyConfig(prior=ToyPrior(atoms=(p,)), delta_p=delta_p, lam=lam,
                      kx_sigma=kx_sigma)
+
+
+def loop_model_sequences(p_arr, delta_p, rng):
+    """The row-by-row model sampler that the vectorized one replaced."""
+    p_arr = np.asarray(p_arr, dtype=np.float64)
+    u = rng.random(len(p_arr))
+    tail_lens = rng.geometric(1.0 - 2.0 * p_arr) - 1
+    tail_bits = rng.integers(0, 2, size=int(tail_lens.sum()))
+    symbols = [TOY_SYMBOLS[b] for b in tail_bits]
+    out, start = [], 0
+    for i, p in enumerate(p_arr):
+        tail = tuple(symbols[start:start + tail_lens[i]])
+        start += tail_lens[i]
+        if u[i] < 1.0 - 2.0 * p:
+            out.append(())
+        else:
+            out.append(("B" if u[i] >= 1.0 - p - delta_p else "A",) + tail)
+    return out
 
 
 class TestValidation:
@@ -129,6 +148,20 @@ class TestSamplers:
             want = sum(1 for s in scalar if s == probe) / n
             se = math.sqrt(max(want, 1e-4) * 1 / n)
             assert abs(got - want) < 5 * se
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           p_arr=st.lists(st.floats(0.01, 0.49), max_size=40),
+           frac=st.floats(0.0, 1.0))
+    @example(seed=0, p_arr=[], frac=0.5)
+    @example(seed=0, p_arr=[0.4], frac=0.5)
+    @settings(max_examples=150, deadline=None)
+    def test_model_sampler_equals_row_loop(self, seed, p_arr, frac):
+        delta_p = frac * min(p_arr, default=0.0)
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = sample_model_sequences(p_arr, delta_p, got_rng)
+        assert got == loop_model_sequences(p_arr, delta_p, want_rng)
+        # Both took the same draws from the stream.
+        assert got_rng.random() == want_rng.random()
 
     def test_inputs_follow_prior_weights(self):
         prior = ToyPrior(atoms=(0.3, 0.45), weights=(0.25, 0.75))
