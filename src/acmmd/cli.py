@@ -38,7 +38,7 @@ from .estimator import acmmd_sq, h_matrix, sigma_h_sq
 from .io import (load_reliability_records, load_triplets, write_report,
                  write_reliability_records, write_triplets)
 from .reliability import (acmmd_rel_test, default_inner_samples,
-                          inner_samples_summary, rel_h_matrix)
+                          rel_h_matrix, rel_report_fields)
 from .kernels import KernelSpec
 from .sweep import (run_group_sweep, run_toy_sweep, split_groups,
                     summarize_sweep, write_sweep_csv)
@@ -129,19 +129,30 @@ def _run_per_group(records, group_by, seed, run) -> dict:
     return {"groups": entries}
 
 
-def _estimate_entry(h, **fields) -> dict:
-    """Statistic, size and output kernel of an h matrix, plus `fields`."""
-    entry = {"n": h.n, "statistic": acmmd_sq(h),
-             "kernel_y": h.ky.to_string(), **fields}
-    if h.n >= 3:
-        entry["sigma_h_sq"] = sigma_h_sq(h)
-    return entry
+def _family_kernels(rel: bool, cfg: dict):
+    """(kx, ky, inner_samples) of a family's config.
+
+    Goodness of fit reads kernel_x and kernel_y. Reliability reads kernel_y,
+    sigma_p and inner_samples, and its kx is khat: dist-expmmd over the
+    model samples, with ky as the MMD's inner kernel.
+    """
+    if not rel:
+        return (config_kernel(cfg, "kernel_x"), config_kernel(cfg, "kernel_y"),
+                None)
+    ky = config_rel_kernel_y(cfg)
+    kx = KernelSpec("dist-expmmd", sigma=config_sigma_p(cfg), inner=ky)
+    return kx, ky, config_optional_positive_int(cfg, "inner_samples",
+                                                minimum=2)
 
 
-def _trim_model_samples(records, inner_samples: int | None):
-    """Restrict each record to its first `inner_samples` model samples."""
+def _load_records(rel: bool, path, inner_samples: int | None) -> list:
+    """The family's records from `path`: triplets, or reliability records
+    restricted to their first `inner_samples` model samples when it is set."""
+    if not rel:
+        return load_triplets(path)[0]
+    records, _ = load_reliability_records(path)
     if inner_samples is None:
-        return list(records)
+        return records
     out = []
     for i, r in enumerate(records):
         if len(r.model_samples) < inner_samples:
@@ -154,126 +165,75 @@ def _trim_model_samples(records, inner_samples: int | None):
 
 
 # ---------------------------------------------------------------------------
-# estimate / test
+# estimate / test, and rel-estimate / rel-test: one body per verb, which
+# takes the family (rel) and the command name.
 
 
-@cli.command()
-@_opt_input(help="Triplet dataset (JSONL).")
-@_opt_kernel_x
-@_opt_kernel_y
-@_opt_group_by
-@_opt_out()
-@_opt_config
-def estimate(input_path, out_path, config_path, **flags):
-    """Estimate the goodness-of-fit statistic on a dataset."""
+def _estimate(rel, command, input_path, out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
-    kx = config_kernel(cfg, "kernel_x")
-    ky = config_kernel(cfg, "kernel_y")
+    kx, ky, inner = _family_kernels(rel, cfg)
     group_by = config_group_by(cfg)
-    records, _ = load_triplets(input_path)
+    records = _load_records(rel, input_path, inner)
 
     def run(members, _seed):
-        h = h_matrix(members, kx, ky)
-        return _estimate_entry(h, kernel_x=h.kx.to_string())
+        h = (rel_h_matrix if rel else h_matrix)(members, kx, ky)
+        entry = {"n": h.n, "statistic": acmmd_sq(h),
+                 "kernel_y": h.ky.to_string()}
+        entry.update(rel_report_fields(h, members) if rel
+                     else {"kernel_x": h.kx.to_string()})
+        if h.n >= 3:
+            entry["sigma_h_sq"] = sigma_h_sq(h)
+        return entry
 
-    report: dict = {"command": "estimate", "input": str(input_path)}
+    report: dict = {"command": command, "input": str(input_path)}
     report.update(_run_per_group(records, group_by, None, run))
     _emit(report, out_path)
 
 
-@cli.command()
-@_opt_input(help="Triplet dataset (JSONL).")
-@_opt_kernel_x
-@_opt_kernel_y
-@_opt_alpha
-@_opt_bootstrap
-@_opt_seed
-@_opt_group_by
-@_opt_out()
-@_opt_config
-def test(input_path, out_path, config_path, **flags):
-    """Run the goodness-of-fit test on a dataset."""
+def _test(rel, command, input_path, out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
-    kx = config_kernel(cfg, "kernel_x")
-    ky = config_kernel(cfg, "kernel_y")
+    kx, ky, inner = _family_kernels(rel, cfg)
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_positive_int(cfg, "seed", minimum=0)
     group_by = config_group_by(cfg)
-    records, _ = load_triplets(input_path)
-    report: dict = {"command": "test", "input": str(input_path),
+    records = _load_records(rel, input_path, inner)
+
+    def run(members, seed):
+        if rel:
+            return acmmd_rel_test(members, ky, sigma=kx.sigma, alpha=alpha_v,
+                                  b_count=b_count, seed=seed).to_dict()
+        return acmmd_test(members, kx, ky, alpha=alpha_v, b_count=b_count,
+                          seed=seed).to_dict()
+
+    report: dict = {"command": command, "input": str(input_path),
                     "seed": seed_v}
-    report.update(_run_per_group(
-        records, group_by, seed_v,
-        lambda members, s: acmmd_test(members, kx, ky, alpha=alpha_v,
-                                      b_count=b_count, seed=s).to_dict()))
+    report.update(_run_per_group(records, group_by, seed_v, run))
     _emit(report, out_path)
 
 
-# ---------------------------------------------------------------------------
-# rel-estimate / rel-test
+def _register(name: str, body, rel: bool, summary: str) -> None:
+    """Register `body` for one family as command `name`."""
+    options = [
+        _opt_input(help="Reliability dataset (JSONL)." if rel
+                   else "Triplet dataset (JSONL)."),
+        *([_opt_kernel_y, _opt_sigma_p, _opt_inner_samples] if rel
+          else [_opt_kernel_x, _opt_kernel_y]),
+        *([_opt_alpha, _opt_bootstrap, _opt_seed] if body is _test else []),
+        _opt_group_by, _opt_out(), _opt_config]
+    callback = functools.partial(body, rel, name)
+    for option in reversed(options):  # as if stacked top to bottom
+        callback = option(callback)
+    cli.command(name, help=summary)(callback)
 
 
-@cli.command("rel-estimate")
-@_opt_input(help="Reliability dataset (JSONL).")
-@_opt_kernel_y
-@_opt_sigma_p
-@_opt_inner_samples
-@_opt_group_by
-@_opt_out()
-@_opt_config
-def rel_estimate(input_path, out_path, config_path, **flags):
-    """Estimate the reliability statistic on a sampled-model dataset."""
-    cfg, _ = resolve_config(config_path, **flags)
-    ky = config_rel_kernel_y(cfg)
-    sigma = config_sigma_p(cfg)
-    trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
-    group_by = config_group_by(cfg)
-    records, _ = load_reliability_records(input_path)
-    records = _trim_model_samples(records, trim)
-
-    def run(members, _seed):
-        kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
-        h = rel_h_matrix(members, kp, ky)
-        return _estimate_entry(h, sigma_p=h.kx.sigma_resolved,
-                               inner_samples=inner_samples_summary(members))
-
-    report: dict = {"command": "rel-estimate", "input": str(input_path)}
-    report.update(_run_per_group(records, group_by, None, run))
-    _emit(report, out_path)
-
-
-@cli.command("rel-test")
-@_opt_input(help="Reliability dataset (JSONL).")
-@_opt_kernel_y
-@_opt_sigma_p
-@_opt_inner_samples
-@_opt_alpha
-@_opt_bootstrap
-@_opt_seed
-@_opt_group_by
-@_opt_out()
-@_opt_config
-def rel_test(input_path, out_path, config_path, **flags):
-    """Run the reliability test on a sampled-model dataset."""
-    cfg, _ = resolve_config(config_path, **flags)
-    ky = config_rel_kernel_y(cfg)
-    sigma = config_sigma_p(cfg)
-    trim = config_optional_positive_int(cfg, "inner_samples", minimum=2)
-    alpha_v = config_alpha(cfg)
-    b_count = config_positive_int(cfg, "bootstrap")
-    seed_v = config_positive_int(cfg, "seed", minimum=0)
-    group_by = config_group_by(cfg)
-    records, _ = load_reliability_records(input_path)
-    records = _trim_model_samples(records, trim)
-    report: dict = {"command": "rel-test", "input": str(input_path),
-                    "seed": seed_v}
-    report.update(_run_per_group(
-        records, group_by, seed_v,
-        lambda members, s: acmmd_rel_test(
-            members, ky, sigma=sigma, alpha=alpha_v, b_count=b_count,
-            seed=s).to_dict()))
-    _emit(report, out_path)
+_register("estimate", _estimate, False,
+          "Estimate the goodness-of-fit statistic on a dataset.")
+_register("test", _test, False, "Run the goodness-of-fit test on a dataset.")
+_register("rel-estimate", _estimate, True,
+          "Estimate the reliability statistic on a sampled-model dataset.")
+_register("rel-test", _test, True,
+          "Run the reliability test on a sampled-model dataset.")
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +278,19 @@ def sweep(input_path, out_path, config_path, **flags):
     subsample = config_optional_positive_int(cfg, "subsample_n", minimum=2)
     timings_v = bool(cfg["timings"])
 
+    # Each mode rejects the keys only the other mode reads, before any data
+    # is read.
     if input_path is not None:
-        if family_v == "rel":
-            if "kernel_x" in explicit:
-                raise ConfigError("kernel_x does not apply to rel sweeps")
-            ky = config_rel_kernel_y(cfg)
-            records, _ = load_reliability_records(input_path)
-            records = _trim_model_samples(records, inner)
-            kx = None
-        else:
-            ky = config_kernel(cfg, "kernel_y")
-            kx = config_kernel(cfg, "kernel_x")
-            records, _ = load_triplets(input_path)
+        for key in ("n_values", "delta_p_values", "atoms", "weights", "lam",
+                    "kx_sigma"):
+            if key in explicit:
+                raise ConfigError(f"{key} applies to toy sweeps only; "
+                                  "dataset sweeps grid over the groups")
+        rel = family_v == "rel"
+        if rel and "kernel_x" in explicit:
+            raise ConfigError("kernel_x does not apply to rel sweeps")
+        kx, ky, inner = _family_kernels(rel, cfg)
+        records = _load_records(rel, input_path, inner)
         rows = run_group_sweep(
             records, family_v, kx, ky, n_seeds_v, subsample_n=subsample,
             alpha=alpha_v, bootstrap=b_count, sigma_p=sigma, seed=seed_v,

@@ -358,7 +358,7 @@ def difference_gram(spec: KernelSpec, items_a, items_b
     """Gram of the feature differences phi(a_i) - phi(b_i) of paired items.
 
     Entry (i, j) is k(a_i, a_j) + k(b_i, b_j) - k(a_i, b_j) - k(b_i, a_j),
-    summed as (K_aa + K_bb) - (K_ab + K_ab^T), so the matrix is exactly
+    summed as (K_aa + K_bb) - (K_ab + K_ba), so the matrix is exactly
     symmetric. A 'median' bandwidth resolves over the union of both lists.
     Sequence kinds gather the three blocks from the vocabulary Gram, one
     side's rows at a time; vector kinds evaluate them directly. No Gram
@@ -384,6 +384,9 @@ def difference_gram(spec: KernelSpec, items_a, items_b
         rows = kernel.take(b, axis=0)
         del kernel
         same += rows.take(b, axis=1)
+        # K_ba from b's rows: K is exactly symmetric, so these are k_ab.T's
+        # bits, read without a transposed pass over an N^2 matrix.
+        k_ab += rows.take(a, axis=1)
     else:
         vectors = _vectors_of(list(items_a) + list(items_b), spec.kind)
         spec = resolve_spec(spec, vectors)
@@ -392,7 +395,8 @@ def difference_gram(spec: KernelSpec, items_a, items_b
         k_ab = gaussian_gram(va, vb, sigma)
         same = gaussian_gram(va, va, sigma)
         same += gaussian_gram(vb, vb, sigma)
-    same -= k_ab + k_ab.T
+        k_ab = k_ab + k_ab.T
+    same -= k_ab
     return same, spec
 
 

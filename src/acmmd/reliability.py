@@ -66,6 +66,13 @@ def inner_samples_summary(records) -> int | str:
     return f"{min(counts)}..{max(counts)}"
 
 
+def rel_report_fields(h: HMatrix, records) -> dict:
+    """What a reliability report adds: the resolved sigma_p of khat and the
+    model-sample count per record."""
+    return {"sigma_p": h.kx.sigma_resolved,
+            "inner_samples": inner_samples_summary(records)}
+
+
 def acmmd_rel_test(records, ky: KernelSpec, sigma: float | str = "median",
                    alpha: float = 0.05, b_count: int = 100,
                    seed=0) -> TestReport:
@@ -79,8 +86,5 @@ def acmmd_rel_test(records, ky: KernelSpec, sigma: float | str = "median",
     """
     kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
     h = rel_h_matrix(records, kp, ky)
-    extra = {
-        "sigma_p": h.kx.sigma_resolved,
-        "inner_samples": inner_samples_summary(records),
-    }
-    return test_from_h(h, alpha, b_count, seed, extra=extra)
+    return test_from_h(h, alpha, b_count, seed,
+                       extra=rel_report_fields(h, records))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,argv", [
         ("kernel_x", ["--family", "rel", "--kernel-x", "bogus"]),
         ("subsample_n", ["--subsample-n", "1"]),
+        ("n_values", ["--n-values", "10"]),
+        ("lam", ["--lam", "2"]),
     ])
     def test_sweep_config_checked_before_reading(self, tmp_path, capsys, key,
                                                  argv):
@@ -304,6 +307,68 @@ class TestTest:
         assert all(g["group"].startswith("p=") for g in groups)
         assert groups[0]["p_value"] != groups[1]["p_value"] or \
             groups[0]["statistic"] != groups[1]["statistic"]
+
+
+# SHA-256 of the report files of the four dataset commands on small toy
+# files of both families: ungrouped, grouped and, for rel, trimmed. Any
+# change to loading, trimming, h, the bootstrap, the decision or the report
+# fields shows here.
+PINNED_REPORTS = {
+    "estimate": (
+        ("estimate",),
+        "a09948576eea7f6bc48c4c974e44cb4c5e408ad33e855f417f3601a98040f296"),
+    "estimate-grouped": (
+        ("estimate", "--group-by", "group"),
+        "168f1f0795e160ac7798d3b7398897b90ad8a19a9f0be8afe8d3292f24bca1e0"),
+    "test": (
+        ("test",),
+        "fd356c4d3224fc9d7a34948257c900cbff1c5223ce35895859b929289a2f6b07"),
+    "test-grouped": (
+        ("test", "--group-by", "group"),
+        "dde513141555aa1dc99ca32f9d6ef326fd1421d48f1376182b3a5292e93ae3ca"),
+    "rel-estimate": (
+        ("rel-estimate",),
+        "24e1aed86074ac4f5d902f5dfd913682c843085a7859f353d3a78da01dd6940e"),
+    "rel-estimate-grouped": (
+        ("rel-estimate", "--group-by", "group"),
+        "46f1066eb954129b5e89b3623daeb441ec6be922f479c83be030b66e814a7187"),
+    "rel-estimate-trimmed": (
+        ("rel-estimate", "--inner-samples", "4"),
+        "f221b31dc35efdecfcf3527e58d9f84871650371c535b5b568065c26a8a18181"),
+    "rel-estimate-grouped-trimmed": (
+        ("rel-estimate", "--group-by", "group", "--inner-samples", "4"),
+        "f8910c5fe6b255bffc870a34e253a24461949af560e2b16cb5ef587d2dbed33f"),
+    "rel-test": (
+        ("rel-test",),
+        "793664ecce427e1e70be821e49839a9973b09ef016300bcb6d0cc83000568cfe"),
+    "rel-test-grouped": (
+        ("rel-test", "--group-by", "group"),
+        "48387a8f0d893261b3b7d4d38dd1658c48fea2ae60200c573710c481d1a831a1"),
+    "rel-test-trimmed": (
+        ("rel-test", "--inner-samples", "4"),
+        "b6fdba0e54624e7fc27f82ef444080818613882338aa0a24eab934dab9a94949"),
+    "rel-test-grouped-trimmed": (
+        ("rel-test", "--group-by", "group", "--inner-samples", "4"),
+        "6591688cda03232e53c49c88bc2f422f5ae4a21126d379365ec405080fd274a1"),
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_bytes_unchanged(self, name, tmp_path, monkeypatch, capsys):
+        (command, *flags), report_sha = PINNED_REPORTS[name]
+        family = "rel" if command.startswith("rel-") else "acmmd"
+        monkeypatch.chdir(tmp_path)  # the report records the --input path
+        assert main(["toy-generate", "--n", "16", "--atoms", "0.3,0.45",
+                     "--delta-p", "0.25", "--family", family,
+                     "--inner-samples", "6", "--seed", "5",
+                     "--out", "data.jsonl"]) == 0
+        if command.endswith("test"):
+            flags += ["--bootstrap", "30", "--seed", "11"]
+        assert main([command, "--input", "data.jsonl", *flags,
+                     "--out", "report.json"]) == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == report_sha
 
 
 class TestConfigPrecedence:

@@ -14,3 +14,18 @@ def test_python_blocks_run_in_order():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_flag_table_matches_the_commands():
+    # Each row lists a command's config keys in the order of its options.
+    from acmmd.cli import cli
+
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| Command | Flags and config keys |\n| --- | --- |\n",
+                       1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, re.M)
+    assert [name for name, _ in rows] == list(cli.commands)
+    for name, keys in rows:
+        params = [p.name for p in cli.commands[name].params
+                  if p.name not in ("input_path", "out_path", "config_path")]
+        assert re.findall(r"`(\w+)`", keys) == params, name
