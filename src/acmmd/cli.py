@@ -129,7 +129,8 @@ def _run_per_group(records, group_by, seed, run) -> dict:
     return {"groups": entries}
 
 
-def _family_kernels(rel: bool, cfg: dict):
+def _family_kernels(rel: bool, cfg: dict
+                    ) -> tuple[KernelSpec, KernelSpec, int | None]:
     """(kx, ky, inner_samples) of a family's config.
 
     Goodness of fit reads kernel_x and kernel_y. Reliability reads kernel_y,
