@@ -37,12 +37,11 @@ from .errors import ConfigError, DataError
 from .estimator import acmmd_sq, h_matrix, sigma_h_sq
 from .io import (load_reliability_records, load_triplets, write_report,
                  write_reliability_records, write_triplets)
-from .reliability import (acmmd_rel_test, default_inner_samples,
-                          rel_h_matrix, rel_report_fields)
+from .reliability import default_inner_samples
 from .kernels import KernelSpec
 from .sweep import (run_group_sweep, run_toy_sweep, split_groups,
                     summarize_sweep, write_sweep_csv)
-from .testing import acmmd_test
+from .testing import acmmd_test, rel_report_fields
 from .toy import (TOY_ALPHABET, acmmd_rel_sq_exact, acmmd_sq_exact,
                   generate_reliability_records, generate_triplets,
                   mmd_sq_models_exact)
@@ -177,7 +176,7 @@ def _estimate(rel, command, input_path, out_path, config_path, **flags):
     records = _load_records(rel, input_path, inner)
 
     def run(members, _seed):
-        h = (rel_h_matrix if rel else h_matrix)(members, kx, ky)
+        h = h_matrix(members, kx, ky)
         entry = {"n": h.n, "statistic": acmmd_sq(h),
                  "kernel_y": h.ky.to_string()}
         entry.update(rel_report_fields(h, members) if rel
@@ -201,9 +200,6 @@ def _test(rel, command, input_path, out_path, config_path, **flags):
     records = _load_records(rel, input_path, inner)
 
     def run(members, seed):
-        if rel:
-            return acmmd_rel_test(members, ky, sigma=kx.sigma, alpha=alpha_v,
-                                  b_count=b_count, seed=seed).to_dict()
         return acmmd_test(members, kx, ky, alpha=alpha_v, b_count=b_count,
                           seed=seed).to_dict()
 
@@ -268,7 +264,7 @@ _register("rel-test", _test, True,
 def sweep(input_path, out_path, config_path, **flags):
     """Run the test once per grid cell and seed; write CSV plus summary."""
     cfg, explicit = resolve_config(config_path, **flags)
-    family_v = config_family(cfg)
+    rel = config_family(cfg) == "rel"
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_positive_int(cfg, "seed", minimum=0)
@@ -279,23 +275,25 @@ def sweep(input_path, out_path, config_path, **flags):
     subsample = config_optional_positive_int(cfg, "subsample_n", minimum=2)
     timings_v = bool(cfg["timings"])
 
-    # Each mode rejects the keys only the other mode reads, before any data
-    # is read.
+    # Each family and each mode rejects the keys only the others read,
+    # before any data is read or sampled.
+    for key in ("sigma_p", "inner_samples"):
+        if not rel and key in explicit:
+            raise ConfigError(f"{key} applies to rel sweeps only")
     if input_path is not None:
         for key in ("n_values", "delta_p_values", "atoms", "weights", "lam",
                     "kx_sigma"):
             if key in explicit:
                 raise ConfigError(f"{key} applies to toy sweeps only; "
                                   "dataset sweeps grid over the groups")
-        rel = family_v == "rel"
         if rel and "kernel_x" in explicit:
             raise ConfigError("kernel_x does not apply to rel sweeps")
         kx, ky, inner = _family_kernels(rel, cfg)
         records = _load_records(rel, input_path, inner)
         rows = run_group_sweep(
-            records, family_v, kx, ky, n_seeds_v, subsample_n=subsample,
-            alpha=alpha_v, bootstrap=b_count, sigma_p=sigma, seed=seed_v,
-            workers=workers_v, timings=timings_v)
+            records, kx, ky, n_seeds_v, subsample_n=subsample, alpha=alpha_v,
+            bootstrap=b_count, seed=seed_v, workers=workers_v,
+            timings=timings_v)
         group_mode = True
     else:
         for key in ("kernel_x", "kernel_y"):
@@ -313,10 +311,12 @@ def sweep(input_path, out_path, config_path, **flags):
                 toy.with_delta_p(dp)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        kx = (KernelSpec("dist-expmmd", sigma=sigma, inner=toy.ky) if rel
+              else None)
         rows = run_toy_sweep(
-            toy, ns, dps, n_seeds_v, family=family_v, alpha=alpha_v,
-            bootstrap=b_count, inner_samples=inner, sigma_p=sigma,
-            seed=seed_v, workers=workers_v, timings=timings_v)
+            toy, ns, dps, n_seeds_v, kx=kx, alpha=alpha_v, bootstrap=b_count,
+            inner_samples=inner, seed=seed_v, workers=workers_v,
+            timings=timings_v)
         group_mode = False
 
     write_sweep_csv(out_path, rows, group_mode)

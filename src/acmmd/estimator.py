@@ -69,18 +69,20 @@ def h_from_columns(kx: KernelSpec, inputs, ky: KernelSpec, y_model, y
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
 
 
-def h_matrix(triplets, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """`h_from_columns` over a list of (x, y, y_model) records.
+def h_matrix(records, kx: KernelSpec, ky: KernelSpec) -> HMatrix:
+    """`h_from_columns` over records: their model samples are the inputs
+    for a dist-expmmd `kx` (khat, reliability), their `x` for any other.
 
     Raises:
-        ValueError: fewer than 2 records, or a dist-expmmd `kx`.
+        ValueError: fewer than 2 records, or a record without that column.
     """
-    if kx.kind in DISTRIBUTION_KINDS:
-        raise ValueError("dist-expmmd is for reliability records (rel_h_matrix)")
-    triplets = list(triplets)
-    return h_from_columns(kx, [t.x for t in triplets], ky,
-                          [t.y_model for t in triplets],
-                          [t.y for t in triplets])
+    column = "model_samples" if kx.kind in DISTRIBUTION_KINDS else "x"
+    records = list(records)
+    inputs = [getattr(r, column, None) for r in records]
+    if any(v is None for v in inputs):
+        raise ValueError(f"a {kx.kind} kx needs records with {column}")
+    return h_from_columns(kx, inputs, ky, [r.y_model for r in records],
+                          [r.y for r in records])
 
 
 def acmmd_sq(h: HMatrix | np.ndarray) -> float:

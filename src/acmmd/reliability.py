@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 
-from .estimator import HMatrix, acmmd_sq, h_from_columns
+from .estimator import HMatrix, acmmd_sq, h_matrix
 from .kernels import DISTRIBUTION_KINDS, KernelSpec
-from .testing import TestReport, test_from_h
+# Re-exported from testing: inner_samples_summary, rel_report_fields.
+from .testing import (TestReport, acmmd_test, inner_samples_summary,
+                      rel_report_fields)
 
 
 def default_inner_samples(n: int) -> int:
@@ -30,18 +32,15 @@ def default_inner_samples(n: int) -> int:
 
 
 def rel_h_matrix(records, kp: KernelSpec, ky: KernelSpec) -> HMatrix:
-    """`h_from_columns` over reliability records: khat, the `kp`
-    (dist-expmmd) Gram over their model-sample sets, is the input Gram.
+    """`h_matrix` with a distribution kernel: khat, the `kp` (dist-expmmd)
+    Gram over the records' model-sample sets, is the input Gram.
 
     Raises:
         ValueError: fewer than 2 records, or `kp` not a distribution kernel.
     """
     if kp.kind not in DISTRIBUTION_KINDS:
         raise ValueError(f"not a distribution kernel: {kp.kind}")
-    records = list(records)
-    return h_from_columns(kp, [r.model_samples for r in records], ky,
-                          [r.y_model for r in records],
-                          [r.y for r in records])
+    return h_matrix(records, kp, ky)
 
 
 def acmmd_rel_sq(records, ky: KernelSpec,
@@ -55,28 +54,13 @@ def acmmd_rel_sq(records, ky: KernelSpec,
             heuristic over the estimated inter-record MMDs).
     """
     kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
-    return acmmd_sq(rel_h_matrix(records, kp, ky))
-
-
-def inner_samples_summary(records) -> int | str:
-    """Model-sample count per record: one int, or 'min..max' when mixed."""
-    counts = [len(r.model_samples) for r in records]
-    if len(set(counts)) == 1:
-        return int(counts[0])
-    return f"{min(counts)}..{max(counts)}"
-
-
-def rel_report_fields(h: HMatrix, records) -> dict:
-    """What a reliability report adds: the resolved sigma_p of khat and the
-    model-sample count per record."""
-    return {"sigma_p": h.kx.sigma_resolved,
-            "inner_samples": inner_samples_summary(records)}
+    return acmmd_sq(h_matrix(records, kp, ky))
 
 
 def acmmd_rel_test(records, ky: KernelSpec, sigma: float | str = "median",
                    alpha: float = 0.05, b_count: int = 100,
                    seed=0) -> TestReport:
-    """Reliability test: wild bootstrap on the khat-weighted h matrix.
+    """Reliability test: `acmmd_test` with khat as the input kernel.
 
     Args:
         records: ReliabilityRecords.
@@ -85,6 +69,5 @@ def acmmd_rel_test(records, ky: KernelSpec, sigma: float | str = "median",
         alpha, b_count, seed: as in `acmmd_test`.
     """
     kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
-    h = rel_h_matrix(records, kp, ky)
-    return test_from_h(h, alpha, b_count, seed,
-                       extra=rel_report_fields(h, records))
+    return acmmd_test(records, kp, ky, alpha=alpha, b_count=b_count,
+                      seed=seed)

@@ -23,7 +23,7 @@ from ._rng import SK_CELL, SK_GROUP, derive
 from .errors import ConfigError, DataError
 from .estimator import h_from_columns, h_matrix
 from .kernels import DISTRIBUTION_KINDS, KernelSpec
-from .reliability import default_inner_samples, rel_h_matrix
+from .reliability import default_inner_samples
 from .testing import test_from_h
 from .toy import ToyConfig, _sample_columns
 
@@ -74,8 +74,8 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
     data_seed = derive(plan.seed, plan.domain, ci, si, 0)
     test_seed = derive(plan.seed, plan.domain, ci, si, 1)
     start = time.perf_counter() if plan.timings else 0.0
-    rel = plan.kx.kind in DISTRIBUTION_KINDS
     if isinstance(source, ToyConfig):
+        rel = plan.kx.kind in DISTRIBUTION_KINDS
         r = (plan.inner_samples or default_inner_samples(n)) if rel else None
         p, ys, yms, sample_sets = _sample_columns(source, n, data_seed, r)
         h = h_from_columns(plan.kx, sample_sets if rel else p[:, None],
@@ -87,20 +87,12 @@ def _run(plan: _Plan, ci: int, si: int) -> SweepRow:
             records = [source[i] for i in sorted(idx)]
         else:
             records = list(source)
-        h = (rel_h_matrix if rel else h_matrix)(records, plan.kx, plan.ky)
+        h = h_matrix(records, plan.kx, plan.ky)
     report = test_from_h(h, plan.alpha, plan.bootstrap, test_seed)
     elapsed = (time.perf_counter() - start) * 1e3 if plan.timings else 0.0
     return SweepRow(n=n, label=label, seed=si, statistic=report.statistic,
                     p_value=report.p_value, reject=report.reject,
                     runtime_ms=elapsed)
-
-
-def _input_kernel(family: str, kx: KernelSpec | None, ky: KernelSpec,
-                  sigma_p: float | str) -> KernelSpec:
-    """The plan's input kernel: khat over the model samples for "rel"."""
-    if family == "rel":
-        return KernelSpec("dist-expmmd", sigma=sigma_p, inner=ky)
-    return kx
 
 
 # The plan of the pool this process works for; set only in pool workers.
@@ -156,25 +148,26 @@ def _run_plan(plan: _Plan, workers: int) -> list[SweepRow]:
 
 
 def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
-                  family: str = "acmmd", alpha: float = 0.05,
+                  kx: KernelSpec | None = None, alpha: float = 0.05,
                   bootstrap: int = 100, inner_samples: int | None = None,
-                  sigma_p: float | str = "median", seed: int = 0,
-                  workers: int = 1, timings: bool = False) -> list[SweepRow]:
+                  seed: int = 0, workers: int = 1, timings: bool = False
+                  ) -> list[SweepRow]:
     """Full toy grid: every delta_p x n cell, n_seeds independent runs each.
 
     The toy process's own kernels are used (Gaussian on the scalar input,
     exponentiated Hamming with the toy's lambda on outputs) so that results
-    line up with the closed forms.
+    line up with the closed forms. A dist-expmmd `kx` instead makes it a
+    reliability sweep with `inner_samples` model samples per record.
     """
     if not n_values or not delta_p_values:
         raise ConfigError("sweep grids must be non-empty")
     cells = tuple((n, dp, toy.with_delta_p(dp))
                   for dp in delta_p_values for n in n_values)
     return _run_plan(_Plan(
-        kx=_input_kernel(family, toy.kx, toy.ky, sigma_p), ky=toy.ky,
-        alpha=alpha, bootstrap=bootstrap, inner_samples=inner_samples,
-        seed=seed, domain=SK_CELL, cells=cells, n_seeds=n_seeds,
-        timings=timings), workers)
+        kx=toy.kx if kx is None else kx, ky=toy.ky, alpha=alpha,
+        bootstrap=bootstrap, inner_samples=inner_samples, seed=seed,
+        domain=SK_CELL, cells=cells, n_seeds=n_seeds, timings=timings),
+        workers)
 
 
 def split_groups(records) -> list[tuple[str, list]]:
@@ -190,13 +183,11 @@ def split_groups(records) -> list[tuple[str, list]]:
             for label in labels]
 
 
-def run_group_sweep(records, family: str, kx: KernelSpec | None,
-                    ky: KernelSpec, n_seeds: int,
+def run_group_sweep(records, kx: KernelSpec, ky: KernelSpec, n_seeds: int,
                     subsample_n: int | None = None, alpha: float = 0.05,
-                    bootstrap: int = 100, sigma_p: float | str = "median",
-                    seed: int = 0, workers: int = 1, timings: bool = False
-                    ) -> list[SweepRow]:
-    """Per-group runs over a labeled dataset.
+                    bootstrap: int = 100, seed: int = 0, workers: int = 1,
+                    timings: bool = False) -> list[SweepRow]:
+    """Per-group runs over a labeled dataset; `kx` picks the family.
 
     Groups are processed in sorted label order. With `subsample_n` given,
     every seed index draws its own subsample (without replacement) from the
@@ -213,9 +204,9 @@ def run_group_sweep(records, family: str, kx: KernelSpec | None,
             raise DataError(f"group {label!r} has fewer than 2 records")
         cells.append((n, label, members))
     return _run_plan(_Plan(
-        kx=_input_kernel(family, kx, ky, sigma_p), ky=ky, alpha=alpha,
-        bootstrap=bootstrap, inner_samples=None, seed=seed, domain=SK_GROUP,
-        cells=tuple(cells), n_seeds=n_seeds, timings=timings), workers)
+        kx=kx, ky=ky, alpha=alpha, bootstrap=bootstrap, inner_samples=None,
+        seed=seed, domain=SK_GROUP, cells=tuple(cells), n_seeds=n_seeds,
+        timings=timings), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +224,7 @@ def _fmt(value) -> str:
 def write_sweep_csv(path, rows: list[SweepRow], group_mode: bool) -> None:
     """One CSV row per run, grid order, stable byte-for-byte formatting."""
     fields = CSV_FIELDS_GROUP if group_mode else CSV_FIELDS
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)

@@ -21,7 +21,7 @@ import numpy as np
 from ._rng import (SK_BOOTSTRAP, SK_DECISION, as_seed_sequence, generator,
                    sign_rows)
 from .estimator import HMatrix, acmmd_sq, h_matrix, sigma_h_sq
-from .kernels import KernelSpec
+from .kernels import DISTRIBUTION_KINDS, KernelSpec
 
 
 @dataclass(frozen=True)
@@ -237,17 +237,37 @@ def test_from_h(h: HMatrix, alpha: float, b_count: int, seed,
         trace=decision.trace, extra=dict(extra or {}))
 
 
-def acmmd_test(triplets, kx: KernelSpec, ky: KernelSpec, alpha: float = 0.05,
+def inner_samples_summary(records) -> int | str:
+    """Model-sample count per record: one int, or 'min..max' when mixed."""
+    counts = [len(r.model_samples) for r in records]
+    if len(set(counts)) == 1:
+        return int(counts[0])
+    return f"{min(counts)}..{max(counts)}"
+
+
+def rel_report_fields(h: HMatrix, records) -> dict:
+    """What a report adds for a khat input kernel (none for any other):
+    its resolved sigma_p and the model-sample count per record."""
+    if h.kx.kind not in DISTRIBUTION_KINDS:
+        return {}
+    return {"sigma_p": h.kx.sigma_resolved,
+            "inner_samples": inner_samples_summary(records)}
+
+
+def acmmd_test(records, kx: KernelSpec, ky: KernelSpec, alpha: float = 0.05,
                b_count: int = 100, seed=0) -> TestReport:
-    """Conditional goodness-of-fit test on (x, y, y_model) records.
+    """Test on `h_matrix(records, kx, ky)`: goodness of fit, or reliability
+    with a dist-expmmd `kx`, whose report adds `rel_report_fields`.
 
     Args:
-        triplets: the records.
+        records: the records.
         kx: input kernel; 'median' bandwidths resolve on this dataset.
         ky: output kernel.
         alpha: nominal level in (0, 1).
         b_count: number of wild-bootstrap draws.
         seed: integer or SeedSequence; fixes signs and tie-breaking.
     """
-    h = h_matrix(triplets, kx, ky)
-    return test_from_h(h, alpha, b_count, seed)
+    records = list(records)
+    h = h_matrix(records, kx, ky)
+    return test_from_h(h, alpha, b_count, seed,
+                       extra=rel_report_fields(h, records))

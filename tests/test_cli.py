@@ -149,11 +149,27 @@ class TestExitCodes:
         ("subsample_n", ["--subsample-n", "1"]),
         ("n_values", ["--n-values", "10"]),
         ("lam", ["--lam", "2"]),
+        ("sigma_p", ["--sigma-p", "0.3"]),
+        ("inner_samples", ["--family", "acmmd", "--inner-samples", "5"]),
+        ("sigma_p", ["--sigma-p", "0.3", "toy"]),
+        ("inner_samples", ["--inner-samples", "5", "toy"]),
+        ("sigma_p", ["--config", "sigma.json", "toy"]),
     ])
     def test_sweep_config_checked_before_reading(self, tmp_path, capsys, key,
-                                                 argv):
-        code, _, err = run(capsys, "sweep", *argv, "--input", "nope.jsonl",
-                           "--out", str(tmp_path / "out.csv"))
+                                                 argv, monkeypatch):
+        # A dataset sweep's input does not exist, and a toy sweep ("toy")
+        # must not sample: exit 1 shows the check ran first.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config check")
+
+        monkeypatch.setattr("acmmd.sweep._sample_columns", no_sampling)
+        monkeypatch.chdir(tmp_path)
+        Path("sigma.json").write_text('{"sigma_p": 0.3}')
+        if argv[-1] == "toy":
+            argv = [*argv[:-1], "--n-values", "10"]
+        else:
+            argv = [*argv, "--input", "nope.jsonl"]
+        code, _, err = run(capsys, "sweep", *argv, "--out", "out.csv")
         assert code == 1
         assert f"config error: {key}" in err
 
@@ -173,6 +189,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and str(out.parent) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--bootstrap", "20"],
+        ["sweep", "--n-values", "10", "--delta-p-values", "0",
+         "--n-seeds", "2", "--bootstrap", "20"],
+    ])
+    def test_out_into_missing_directory_creates_it(self, toy_data, tmp_path,
+                                                   capsys, argv):
+        out = tmp_path / "new" / "dir" / "out"
+        if argv[0] == "test":
+            argv = [*argv, "--input", str(toy_data)]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        assert out.read_text()
 
     def test_internal_error_exits_3_with_traceback(self, toy_data, capsys,
                                                    monkeypatch):

@@ -128,13 +128,20 @@ class TestGoFColumns:
             difference_gram(KernelSpec("dist-expmmd"), [("A",)], [("A",)])
 
     def test_h_matrix_rejects_distribution_kx(self):
-        # The engine would take the inputs for sample sets; h_matrix refuses
-        # before that, with a ValueError rather than a TypeError inside.
+        # A dist-expmmd kx reads model samples, which triplets lack; h_matrix
+        # refuses with a ValueError rather than a TypeError inside.
         toy = ToyConfig(delta_p=0.25)
         triplets = generate_triplets(toy, 5, seed=1)
         kp = KernelSpec("dist-expmmd", sigma=1.0, inner=toy.ky)
-        with pytest.raises(ValueError, match="rel_h_matrix"):
+        with pytest.raises(ValueError, match="model_samples"):
             h_matrix(triplets, kp, toy.ky)
+
+    def test_h_matrix_rejects_input_kx_without_x(self):
+        toy = ToyConfig(delta_p=0.25)
+        records = [dataclasses.replace(r, x=None)
+                   for r in generate_reliability_records(toy, 5, 3, seed=1)]
+        with pytest.raises(ValueError, match="needs records with x"):
+            h_matrix(records, toy.kx, toy.ky)
 
     def test_rejects_single_record(self):
         with pytest.raises(ValueError, match="at least 2"):

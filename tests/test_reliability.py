@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from acmmd.estimator import acmmd_sq
+from acmmd.estimator import acmmd_sq, h_matrix
 from acmmd.kernels import KernelSpec, distribution_gram, mmd_sq_matrix
 from acmmd.records import Item, ReliabilityRecord
 from acmmd.reliability import (acmmd_rel_sq, acmmd_rel_test,
                                default_inner_samples, rel_h_matrix)
+from acmmd.testing import acmmd_test
 from acmmd.toy import ToyConfig, generate_reliability_records
 
 from conftest import brute_exp_hamming, brute_mmd_sq, random_tokens
@@ -191,3 +192,19 @@ class TestRelTest:
         report = acmmd_rel_test(records, ky, sigma=0.8, b_count=20, seed=0)
         assert report.statistic == pytest.approx(
             acmmd_rel_sq(records, ky, sigma=0.8), rel=1e-14)
+
+
+class TestOneRecordPath:
+    """The reliability wrappers are the generic path with khat as kx."""
+
+    @pytest.mark.parametrize("sigma", [0.7, "median"])
+    def test_acmmd_test_with_khat_equals_rel_test(self, rng, sigma):
+        records = random_records(rng, 7, r=4)
+        ky = KernelSpec("exp-hamming", lam=1.0)
+        kp = KernelSpec("dist-expmmd", sigma=sigma, inner=ky)
+        assert np.array_equal(h_matrix(records, kp, ky).values,
+                              rel_h_matrix(records, kp, ky).values)
+        got = acmmd_test(iter(records), kp, ky, b_count=30, seed=4)
+        want = acmmd_rel_test(records, ky, sigma, b_count=30, seed=4)
+        assert got.to_dict() == want.to_dict()
+        assert set(got.extra) == {"sigma_p", "inner_samples"}

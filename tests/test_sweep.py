@@ -70,23 +70,20 @@ class TestRunGroupSweep:
     @pytest.mark.parametrize("family", ["acmmd", "rel"])
     @pytest.mark.parametrize("subsample_n", [None, 5])
     def test_workers_do_not_change_rows(self, family, subsample_n):
+        ky = KernelSpec("exp-hamming")
         if family == "rel":
-            records, kx = self.rel_records(), None
+            records = self.rel_records()
+            kx = KernelSpec("dist-expmmd", sigma=1.0, inner=ky)
         else:
             records, kx = self.records(), KernelSpec("gaussian", sigma=1.0)
-        kwargs = dict(n_seeds=9, subsample_n=subsample_n, bootstrap=20,
-                      sigma_p=1.0)
-        serial = run_group_sweep(records, family, kx,
-                                 KernelSpec("exp-hamming"), workers=1,
-                                 **kwargs)
-        parallel = run_group_sweep(records, family, kx,
-                                   KernelSpec("exp-hamming"), workers=2,
-                                   **kwargs)
+        kwargs = dict(n_seeds=9, subsample_n=subsample_n, bootstrap=20)
+        serial = run_group_sweep(records, kx, ky, workers=1, **kwargs)
+        parallel = run_group_sweep(records, kx, ky, workers=2, **kwargs)
         assert len(serial) == 18
         assert serial == parallel
 
     def test_groups_sorted_and_subsampled(self):
-        rows = run_group_sweep(self.records(), "acmmd",
+        rows = run_group_sweep(self.records(),
                                KernelSpec("gaussian", sigma=1.0),
                                KernelSpec("exp-hamming"), n_seeds=2,
                                subsample_n=4, bootstrap=20)
@@ -95,7 +92,7 @@ class TestRunGroupSweep:
         assert rows[0].statistic != rows[1].statistic
 
     def test_without_subsample_uses_full_groups_once_per_seed(self):
-        rows = run_group_sweep(self.records(), "acmmd",
+        rows = run_group_sweep(self.records(),
                                KernelSpec("gaussian", sigma=1.0),
                                KernelSpec("exp-hamming"), n_seeds=2,
                                bootstrap=20)
@@ -107,7 +104,7 @@ class TestRunGroupSweep:
     def test_undersized_group_rejected(self):
         records = self.records()[:8] + self.records()[8:9]
         with pytest.raises(DataError, match="fewer than"):
-            run_group_sweep(records, "acmmd",
+            run_group_sweep(records,
                             KernelSpec("gaussian", sigma=1.0),
                             KernelSpec("exp-hamming"), n_seeds=1,
                             subsample_n=4, bootstrap=20)
@@ -117,7 +114,7 @@ class TestRunGroupSweep:
         stripped = [type(t)(x=t.x, y=t.y, y_model=t.y_model, group=None)
                     for t in records]
         with pytest.raises(DataError, match="group"):
-            run_group_sweep(stripped, "acmmd",
+            run_group_sweep(stripped,
                             KernelSpec("gaussian", sigma=1.0),
                             KernelSpec("exp-hamming"), n_seeds=1,
                             bootstrap=20)
@@ -221,6 +218,27 @@ PINNED_SWEEPS = {
 }
 
 
+# Bytes of one grouped dataset sweep per family, subsampled, over a toy
+# dataset of two labeled groups, as written when the dataset branch still
+# chose between h_matrix and rel_h_matrix by family.
+PINNED_DATASET_SWEEPS = {
+    "gof-groups": (["--family", "acmmd"], (
+    'n,group,seed,statistic,p_value,reject,runtime_ms\n'
+    '8,p=0.3,0,0.030026853651235887,0.25806451612903225,0,0\n'
+    '8,p=0.3,1,0.11155846027505259,0.12903225806451613,0,0\n'
+    '8,p=0.45,0,-0.06416626838673091,0.8387096774193549,0,0\n'
+    '8,p=0.45,1,-0.057584144937383244,0.9354838709677419,0,0\n'
+    ), "6127b1780e3c0f5ce0e280020a5fe1b421b7e1cf4f49af4c6aa14d699026254f"),
+    "rel-groups": (["--family", "rel", "--inner-samples", "5"], (
+    'n,group,seed,statistic,p_value,reject,runtime_ms\n'
+    '8,p=0.3,0,0.03114886633005204,0.25806451612903225,0,0\n'
+    '8,p=0.3,1,0.18955431082654203,0.16129032258064516,0,0\n'
+    '8,p=0.45,0,-0.045007499079549554,0.9032258064516129,0,0\n'
+    '8,p=0.45,1,-0.0433007831845037,0.9032258064516129,0,0\n'
+    ), "dd2b451bfa66480fdc22b53b68e058fc518de6f040f9e08cc79bef6901eee753"),
+}
+
+
 class TestPinnedSweeps:
     @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
     def test_bytes_unchanged(self, name, tmp_path, monkeypatch, capsys):
@@ -228,6 +246,23 @@ class TestPinnedSweeps:
         monkeypatch.chdir(tmp_path)  # the summary records the --out path
         assert main(["sweep", *flags, "--delta-p-values", "0.0,0.25",
                      "--bootstrap", "30", "--seed", "11",
+                     "--out", f"{name}.csv"]) == 0
+        assert (tmp_path / f"{name}.csv").read_text() == csv_text
+        summary = (tmp_path / f"{name}.summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == summary_sha
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DATASET_SWEEPS))
+    def test_dataset_bytes_unchanged(self, name, tmp_path, monkeypatch,
+                                     capsys):
+        flags, csv_text, summary_sha = PINNED_DATASET_SWEEPS[name]
+        monkeypatch.chdir(tmp_path)  # the summary records both paths
+        assert main(["toy-generate", "--n", "30", "--atoms", "0.3,0.45",
+                     "--delta-p", "0.25", "--family", flags[1],
+                     "--inner-samples", "6", "--seed", "3",
+                     "--out", "data.jsonl"]) == 0
+        assert main(["sweep", "--input", "data.jsonl", *flags,
+                     "--n-seeds", "2", "--subsample-n", "8",
+                     "--bootstrap", "30", "--seed", "11", "--workers", "1",
                      "--out", f"{name}.csv"]) == 0
         assert (tmp_path / f"{name}.csv").read_text() == csv_text
         summary = (tmp_path / f"{name}.summary.json").read_bytes()
