@@ -18,7 +18,6 @@ error.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -28,15 +27,16 @@ from pathlib import Path
 import click
 
 from ._rng import SK_GROUP, derive
-from .config import (config_alpha, config_delta_p_values, config_family,
-                     config_group_by, config_kernel, config_n_values,
+from .config import (check_scope, config_alpha, config_bool,
+                     config_delta_p_values, config_family, config_group_by,
+                     config_kernel, config_n_values,
                      config_optional_positive_int, config_positive_int,
                      config_rel_kernel_y, config_sigma_p, config_toy,
                      resolve_config)
 from .errors import ConfigError, DataError
 from .estimator import acmmd_sq, h_matrix, sigma_h_sq
-from .io import (load_reliability_records, load_triplets, write_report,
-                 write_reliability_records, write_triplets)
+from .io import (load_reliability_records, load_triplets, make_parent,
+                 write_report, write_reliability_records, write_triplets)
 from .reliability import default_inner_samples
 from .kernels import KernelSpec
 from .sweep import (run_group_sweep, run_toy_sweep, split_groups,
@@ -153,15 +153,13 @@ def _load_records(rel: bool, path, inner_samples: int | None) -> list:
     records, _ = load_reliability_records(path)
     if inner_samples is None:
         return records
-    out = []
     for i, r in enumerate(records):
         if len(r.model_samples) < inner_samples:
             raise DataError(
                 f"record {i} has {len(r.model_samples)} model samples, "
                 f"fewer than inner_samples={inner_samples}")
-        out.append(dataclasses.replace(
-            r, model_samples=r.model_samples[:inner_samples]))
-    return out
+        r.model_samples = r.model_samples[:inner_samples]
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +171,7 @@ def _estimate(rel, command, input_path, out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
     kx, ky, inner = _family_kernels(rel, cfg)
     group_by = config_group_by(cfg)
+    make_parent(out_path)
     records = _load_records(rel, input_path, inner)
 
     def run(members, _seed):
@@ -197,6 +196,7 @@ def _test(rel, command, input_path, out_path, config_path, **flags):
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_positive_int(cfg, "seed", minimum=0)
     group_by = config_group_by(cfg)
+    make_parent(out_path)
     records = _load_records(rel, input_path, inner)
 
     def run(members, seed):
@@ -264,45 +264,27 @@ _register("rel-test", _test, True,
 def sweep(input_path, out_path, config_path, **flags):
     """Run the test once per grid cell and seed; write CSV plus summary."""
     cfg, explicit = resolve_config(config_path, **flags)
-    rel = config_family(cfg) == "rel"
+    family_v = config_family(cfg)
+    rel = family_v == "rel"
+    group_mode = input_path is not None
+    source = "dataset" if group_mode else "toy"
+    check_scope(explicit, family_v, source, f"{family_v} {source} sweeps")
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_positive_int(cfg, "seed", minimum=0)
     n_seeds_v = config_positive_int(cfg, "n_seeds")
     workers_v = config_positive_int(cfg, "workers")
-    sigma = config_sigma_p(cfg)
-    inner = config_optional_positive_int(cfg, "inner_samples", minimum=2)
-    subsample = config_optional_positive_int(cfg, "subsample_n", minimum=2)
-    timings_v = bool(cfg["timings"])
-
-    # Each family and each mode rejects the keys only the others read,
-    # before any data is read or sampled.
-    for key in ("sigma_p", "inner_samples"):
-        if not rel and key in explicit:
-            raise ConfigError(f"{key} applies to rel sweeps only")
-    if input_path is not None:
-        for key in ("n_values", "delta_p_values", "atoms", "weights", "lam",
-                    "kx_sigma"):
-            if key in explicit:
-                raise ConfigError(f"{key} applies to toy sweeps only; "
-                                  "dataset sweeps grid over the groups")
-        if rel and "kernel_x" in explicit:
-            raise ConfigError("kernel_x does not apply to rel sweeps")
+    timings_v = config_bool(cfg, "timings")
+    if group_mode:
         kx, ky, inner = _family_kernels(rel, cfg)
+        subsample = config_optional_positive_int(cfg, "subsample_n", minimum=2)
+        make_parent(out_path)
         records = _load_records(rel, input_path, inner)
         rows = run_group_sweep(
             records, kx, ky, n_seeds_v, subsample_n=subsample, alpha=alpha_v,
             bootstrap=b_count, seed=seed_v, workers=workers_v,
             timings=timings_v)
-        group_mode = True
     else:
-        for key in ("kernel_x", "kernel_y"):
-            if key in explicit:
-                raise ConfigError(
-                    f"{key} applies to dataset sweeps; toy sweeps always use "
-                    "the toy process's own kernels (set lam and kx_sigma)")
-        if subsample is not None:
-            raise ConfigError("subsample_n needs --input")
         toy = config_toy(cfg)
         dps = config_delta_p_values(cfg)
         ns = config_n_values(cfg)
@@ -311,13 +293,17 @@ def sweep(input_path, out_path, config_path, **flags):
                 toy.with_delta_p(dp)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        kx = (KernelSpec("dist-expmmd", sigma=sigma, inner=toy.ky) if rel
-              else None)
+        kx = inner = None
+        if rel:
+            kx = KernelSpec("dist-expmmd", sigma=config_sigma_p(cfg),
+                            inner=toy.ky)
+            inner = config_optional_positive_int(cfg, "inner_samples",
+                                                 minimum=2)
+        make_parent(out_path)
         rows = run_toy_sweep(
             toy, ns, dps, n_seeds_v, kx=kx, alpha=alpha_v, bootstrap=b_count,
             inner_samples=inner, seed=seed_v, workers=workers_v,
             timings=timings_v)
-        group_mode = False
 
     write_sweep_csv(out_path, rows, group_mode)
     resolved = dict(cfg, command="sweep", out=str(out_path),
@@ -345,22 +331,25 @@ def sweep(input_path, out_path, config_path, **flags):
 @_opt_config
 def toy_generate(out_path, config_path, **flags):
     """Sample a toy-process dataset and write it as JSONL."""
-    cfg, _ = resolve_config(config_path, **flags)
+    cfg, explicit = resolve_config(config_path, **flags)
+    family_v = config_family(cfg)
+    check_scope(explicit, family_v, "toy", f"{family_v} toy-generate")
     if cfg["n"] is None:
         raise ConfigError("n is required")
     n_v = config_positive_int(cfg, "n", minimum=0)
     toy = config_toy(cfg)
     seed_v = config_positive_int(cfg, "seed", minimum=0)
-    family_v = config_family(cfg)
+    inner = None
     if family_v == "rel":
-        r = config_optional_positive_int(cfg, "inner_samples", minimum=2)
-        if r is None:
-            r = default_inner_samples(max(n_v, 1))
-        records = generate_reliability_records(toy, n_v, r, seed_v)
-        write_reliability_records(out_path, records, alphabet=TOY_ALPHABET)
-    else:
+        inner = (config_optional_positive_int(cfg, "inner_samples", minimum=2)
+                 or default_inner_samples(max(n_v, 1)))
+    make_parent(out_path)
+    if inner is None:
         triplets = generate_triplets(toy, n_v, seed_v)
         write_triplets(out_path, triplets, alphabet=TOY_ALPHABET)
+    else:
+        records = generate_reliability_records(toy, n_v, inner, seed_v)
+        write_reliability_records(out_path, records, alphabet=TOY_ALPHABET)
     click.echo(f"wrote {n_v} records to {out_path}")
 
 

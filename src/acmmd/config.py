@@ -41,6 +41,26 @@ DEFAULTS: dict = {
 
 FAMILIES = ("acmmd", "rel")
 
+# The runs that read each key only some runs read. A run is a family plus a
+# source, "toy" or "dataset" (--input); None matches either.
+SCOPES: dict = {
+    "sigma_p": ("rel", None), "inner_samples": ("rel", None),
+    "kernel_x": ("acmmd", "dataset"),
+    "kernel_y": (None, "dataset"), "subsample_n": (None, "dataset"),
+    **dict.fromkeys(("n_values", "delta_p_values", "atoms", "weights", "lam",
+                     "kx_sigma"), (None, "toy")),
+}
+
+
+def check_scope(explicit: set, family: str, source: str, run: str) -> None:
+    """Reject the first SCOPES key set outside the run, which `run` names."""
+    for key, (fam, src) in SCOPES.items():
+        if key in explicit and not {fam, src} <= {None, family, source}:
+            runs = " ".join(filter(None, (fam, src))).replace(
+                "dataset", "dataset (--input)")
+            raise ConfigError(f"{key} applies to {runs} runs only, "
+                              f"not to {run}")
+
 
 def load_config_file(path) -> dict:
     """Parse a JSON config file into a flat dict."""
@@ -140,6 +160,13 @@ def config_optional_positive_int(cfg: dict, key: str, minimum: int = 1
     if cfg[key] is None:
         return None
     return config_positive_int(cfg, key, minimum)
+
+
+def config_bool(cfg: dict, key: str) -> bool:
+    value = cfg[key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def config_family(cfg: dict) -> str:

@@ -214,8 +214,15 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
     return _load(path, ReliabilityRecord)
 
 
+def make_parent(path) -> None:
+    """Create the missing parent directories of output `path`, if given."""
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _write(path, records, alphabet: Alphabet | None) -> None:
     """Write records as JSONL with sorted keys; None fields are left out."""
+    make_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         if alphabet is not None:
             line = "# alphabet=" + ",".join(alphabet.symbols)
@@ -247,7 +254,7 @@ def write_reliability_records(path, records,
 
 def write_report(path, report: dict) -> None:
     """Write a report dict as stable, human-readable JSON."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    make_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")

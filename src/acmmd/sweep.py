@@ -22,6 +22,7 @@ import numpy as np
 from ._rng import SK_CELL, SK_GROUP, derive
 from .errors import ConfigError, DataError
 from .estimator import h_from_columns, h_matrix
+from .io import make_parent
 from .kernels import DISTRIBUTION_KINDS, KernelSpec
 from .reliability import default_inner_samples
 from .testing import test_from_h
@@ -224,7 +225,7 @@ def _fmt(value) -> str:
 def write_sweep_csv(path, rows: list[SweepRow], group_mode: bool) -> None:
     """One CSV row per run, grid order, stable byte-for-byte formatting."""
     fields = CSV_FIELDS_GROUP if group_mode else CSV_FIELDS
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    make_parent(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)

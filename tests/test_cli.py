@@ -154,6 +154,14 @@ class TestExitCodes:
         ("sigma_p", ["--sigma-p", "0.3", "toy"]),
         ("inner_samples", ["--inner-samples", "5", "toy"]),
         ("sigma_p", ["--config", "sigma.json", "toy"]),
+        ("kernel_x", ["--kernel-x", "gaussian:sigma=1.0", "toy"]),
+        ("atoms", ["--atoms", "0.4"]),
+        ("weights", ["--weights", "1"]),
+        ("kx_sigma", ["--kx-sigma", "2"]),
+        ("delta_p_values", ["--delta-p-values", "0.1"]),
+        ("kernel_x", ["--family", "rel", "--config", "kernel_x.json"]),
+        ("timings", ["--config", "timings_str.json", "toy"]),
+        ("timings", ["--config", "timings_int.json", "toy"]),
     ])
     def test_sweep_config_checked_before_reading(self, tmp_path, capsys, key,
                                                  argv, monkeypatch):
@@ -164,7 +172,11 @@ class TestExitCodes:
 
         monkeypatch.setattr("acmmd.sweep._sample_columns", no_sampling)
         monkeypatch.chdir(tmp_path)
-        Path("sigma.json").write_text('{"sigma_p": 0.3}')
+        for name, values in {"sigma": {"sigma_p": 0.3},
+                             "kernel_x": {"kernel_x": "gaussian:sigma=1.0"},
+                             "timings_str": {"timings": "false"},
+                             "timings_int": {"timings": 1}}.items():
+            Path(f"{name}.json").write_text(json.dumps(values))
         if argv[-1] == "toy":
             argv = [*argv[:-1], "--n-values", "10"]
         else:
@@ -179,12 +191,18 @@ class TestExitCodes:
         ["sweep", "--n-values", "10", "--delta-p-values", "0",
          "--n-seeds", "2", "--bootstrap", "20"],
     ])
-    def test_unwritable_out_is_a_usage_error(self, toy_data, tmp_path, capsys,
-                                             argv):
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv,
+                                             monkeypatch):
+        # The input does not exist and the sweep must not sample: exit 1
+        # shows that --out is made ready before the work.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --out was made ready")
+
+        monkeypatch.setattr("acmmd.sweep._sample_columns", no_sampling)
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"  # under a file, not a directory
         if argv[0] == "test":
-            argv = [*argv, "--input", str(toy_data)]
+            argv = [*argv, "--input", "nope.jsonl"]
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 1
         assert err.startswith("error: ") and str(out.parent) in err
@@ -194,6 +212,7 @@ class TestExitCodes:
         ["test", "--bootstrap", "20"],
         ["sweep", "--n-values", "10", "--delta-p-values", "0",
          "--n-seeds", "2", "--bootstrap", "20"],
+        ["toy-generate", "--n", "3"],
     ])
     def test_out_into_missing_directory_creates_it(self, toy_data, tmp_path,
                                                    capsys, argv):
@@ -389,16 +408,43 @@ class TestPinnedReports:
         (command, *flags), report_sha = PINNED_REPORTS[name]
         family = "rel" if command.startswith("rel-") else "acmmd"
         monkeypatch.chdir(tmp_path)  # the report records the --input path
+        samples = ["--inner-samples", "6"] if family == "rel" else []
         assert main(["toy-generate", "--n", "16", "--atoms", "0.3,0.45",
-                     "--delta-p", "0.25", "--family", family,
-                     "--inner-samples", "6", "--seed", "5",
-                     "--out", "data.jsonl"]) == 0
+                     "--delta-p", "0.25", "--family", family, *samples,
+                     "--seed", "5", "--out", "data.jsonl"]) == 0
         if command.endswith("test"):
             flags += ["--bootstrap", "30", "--seed", "11"]
         assert main([command, "--input", "data.jsonl", *flags,
                      "--out", "report.json"]) == 0
         report = (tmp_path / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == report_sha
+
+
+# SHA-256 of each `--help` text, wrapped at COLUMNS=80: a change to any
+# flag, its help string or the command list shows up here.
+PINNED_HELP = {
+    "": "383d7296fd4535a283b45d92890018e7c17e52178b5000fa7a700b9ede23fdc6",
+    "estimate":
+        "8457a69199a6d8ecb1970bb00f8b2ae31ac9a8b4766678e64ab1640311df8a26",
+    "test": "0babf1699bafc9d101d21ad34a5ce8b8351a4edf5f190a626ad1a78748a5c6f4",
+    "rel-estimate":
+        "7dd3bd94f9f38c37ecd3b3167cd45aca52cad82f08d83e4374ce1fe80eace6c1",
+    "rel-test":
+        "a864ac3fc248247433fc13d9836049a6b3c5cf803e037e7d56c64e4279514667",
+    "sweep": "c2f5dd1eeef87b886c77157ba297bebff458cd2e4bff3e3462c73070843f680e",
+    "toy-generate":
+        "e67e05250093f2d2d26b9d3914a0a47fc20f913863d109964d0ccfb11b12445e",
+    "toy-exact":
+        "b472396b3b9179b6285a5dea62be24f7eb656001386284048276faf90a6ac6da",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_help_text_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # click wraps help to the terminal
+    code, out, _ = run(capsys, *([command] if command else []), "--help")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[command]
 
 
 class TestConfigPrecedence:
@@ -509,6 +555,14 @@ class TestToyGenerate:
             "--out", str(path))
         records, _ = load_reliability_records(path)
         assert all(len(r.model_samples) == 16 for r in records)
+
+    def test_inner_samples_rejected_for_gof(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(capsys, "toy-generate", "--n", "3", "--family",
+                           "acmmd", "--inner-samples", "5", "--out", str(out))
+        assert code == 1
+        assert err.startswith("config error: inner_samples")
+        assert not out.exists()
 
     def test_n_required(self, tmp_path, capsys):
         code, _, err = run(capsys, "toy-generate", "--out",
@@ -670,9 +724,10 @@ class TestSweepDataset:
                                                   tmp_path, capsys):
         # Both derive group gi's test seed as derive(seed, SK_GROUP, gi, 0, 1).
         data = tmp_path / "d.jsonl"
+        samples = ["--inner-samples", "6"] if family == "rel" else []
         code, _, err = run(capsys, "toy-generate", "--n", "30", "--atoms",
                            "0.3,0.45", "--delta-p", "0.25", "--family",
-                           family, "--inner-samples", "6", "--seed", "3",
+                           family, *samples, "--seed", "3",
                            "--out", str(data))
         assert code == 0, err
         common = ("--input", str(data), "--bootstrap", "25", "--seed", "8")

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from acmmd.config import (DEFAULTS, config_alpha, config_delta_p_values,
+from acmmd.config import (DEFAULTS, SCOPES, check_scope, config_alpha,
+                          config_bool, config_delta_p_values,
                           config_family, config_kernel, config_n_values,
                           config_optional_positive_int, config_positive_int,
                           config_sigma_p, config_toy,
@@ -56,6 +57,25 @@ class TestResolveConfig:
             load_config_file(tmp_path / "missing.json")
 
 
+_TOY_KEYS = {"n_values", "delta_p_values", "atoms", "weights", "lam",
+             "kx_sigma"}
+
+
+@pytest.mark.parametrize("family,source,keys", [
+    ("acmmd", "toy", _TOY_KEYS),
+    ("rel", "toy", _TOY_KEYS | {"sigma_p", "inner_samples"}),
+    ("acmmd", "dataset", {"kernel_x", "kernel_y", "subsample_n"}),
+    ("rel", "dataset", {"kernel_y", "subsample_n", "sigma_p",
+                        "inner_samples"}),
+])
+def test_scope_of_each_run(family, source, keys):
+    check_scope(keys | {"seed", "alpha"}, family, source, "this run")
+    for key in set(SCOPES) - keys:
+        with pytest.raises(ConfigError,
+                           match=f"^{key} applies to .* not to this run$"):
+            check_scope({key, *keys}, family, source, "this run")
+
+
 class TestValueParsers:
     def test_kernel(self):
         assert config_kernel({"kernel_y": "exp-hamming"}, "kernel_y") \
@@ -87,6 +107,13 @@ class TestValueParsers:
         for bad in (-1, 1.5, True, "0"):
             with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
                 config_positive_int({"seed": bad}, "seed", minimum=0)
+
+    def test_bool(self):
+        assert config_bool({"timings": True}, "timings") is True
+        assert config_bool({"timings": False}, "timings") is False
+        for bad in ("false", 1, 0, None):
+            with pytest.raises(ConfigError, match="timings must be true or"):
+                config_bool({"timings": bad}, "timings")
 
     def test_family(self):
         assert config_family({"family": "rel"}) == "rel"

@@ -256,10 +256,10 @@ class TestPinnedSweeps:
                                      capsys):
         flags, csv_text, summary_sha = PINNED_DATASET_SWEEPS[name]
         monkeypatch.chdir(tmp_path)  # the summary records both paths
+        samples = ["--inner-samples", "6"] if flags[1] == "rel" else []
         assert main(["toy-generate", "--n", "30", "--atoms", "0.3,0.45",
-                     "--delta-p", "0.25", "--family", flags[1],
-                     "--inner-samples", "6", "--seed", "3",
-                     "--out", "data.jsonl"]) == 0
+                     "--delta-p", "0.25", "--family", flags[1], *samples,
+                     "--seed", "3", "--out", "data.jsonl"]) == 0
         assert main(["sweep", "--input", "data.jsonl", *flags,
                      "--n-seeds", "2", "--subsample-n", "8",
                      "--bootstrap", "30", "--seed", "11", "--workers", "1",
