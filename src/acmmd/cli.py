@@ -336,13 +336,13 @@ def toy_generate(out_path, config_path, **flags):
     check_scope(explicit, family_v, "toy", f"{family_v} toy-generate")
     if cfg["n"] is None:
         raise ConfigError("n is required")
-    n_v = config_positive_int(cfg, "n", minimum=0)
+    n_v = config_positive_int(cfg, "n", minimum=2)
     toy = config_toy(cfg)
     seed_v = config_positive_int(cfg, "seed", minimum=0)
     inner = None
     if family_v == "rel":
         inner = (config_optional_positive_int(cfg, "inner_samples", minimum=2)
-                 or default_inner_samples(max(n_v, 1)))
+                 or default_inner_samples(n_v))
     make_parent(out_path)
     if inner is None:
         triplets = generate_triplets(toy, n_v, seed_v)

@@ -17,6 +17,7 @@ optional. Either kind may carry a string `group`.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 from pathlib import Path
 
@@ -217,7 +218,10 @@ def load_reliability_records(path) -> tuple[list[ReliabilityRecord], Alphabet | 
 def make_parent(path) -> None:
     """Create the missing parent directories of output `path`, if given."""
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        parent = Path(path).parent
+        if parent.exists() and not parent.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(parent))
+        parent.mkdir(parents=True, exist_ok=True)
 
 
 def _write(path, records, alphabet: Alphabet | None) -> None:

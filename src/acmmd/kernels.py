@@ -7,12 +7,12 @@ Three families are provided, all addressed through `KernelSpec`:
 * a distribution kernel: exponentiated negative squared MMD between sample
   sets, with the MMD estimated unbiasedly from the samples.
 
-Every sequence kernel value comes from one path: the sorted distinct token
-tuples are encoded once (`_vocabulary`), `sequence_gram` turns the encoded
-rows into kernel values, and the result is either gathered back to the
-inputs (`gram`, or `difference_gram` for h's output term) or summed into
-C K C^T over per-record counts C (`mmd_sq_matrix`, in upper-triangle row
-panels within `_CHUNK_BYTES`).
+Every Gram over items follows one rule: the kernel is evaluated over the
+distinct rows once (`_distinct_gram`: sorted token tuples, encoded by
+`_vocabulary`, or `np.unique` vectors) and gathered back to the items
+(`gram`, or `difference_gram` for h's output term). `mmd_sq_matrix` instead
+sums the vocabulary Gram into C K C^T over per-record counts C, in
+upper-triangle row panels within `_CHUNK_BYTES`.
 Gaussian distances are filled in numpy row blocks of `_CHUNK_BYTES / 16`,
 which stay in cache, and equal scipy's cdist bitwise.
 Only `mmd_sq_matrix` loads scipy (`scipy.sparse`).
@@ -289,7 +289,7 @@ def _vectors_of(items, kind: str) -> np.ndarray:
     vectors = [_vector_of(it, kind) for it in items]
     dims = {v.shape[0] for v in vectors}
     if len(dims) > 1:
-        raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
+        raise ValueError(f"embedding dimension mismatch: {sorted(dims)}")
     return np.stack(vectors)
 
 
@@ -312,17 +312,34 @@ def _median_heuristic(dists: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def resolve_spec(spec: KernelSpec, items_a, items_b=None) -> KernelSpec:
+def resolve_spec(spec: KernelSpec, items) -> KernelSpec:
     """Replace a 'median' bandwidth with its value over the given items.
 
     Sequence kernels resolve to themselves. The distribution kernel is
     resolved by `distribution_gram`, which needs the MMD matrix first.
     """
     if spec.kind in VECTOR_KINDS and spec.sigma == "median":
-        items = items_a if items_b is None else list(items_a) + list(items_b)
         sigma = median_pairwise_distance(_vectors_of(items, spec.kind))
         return replace(spec, sigma=sigma)
     return spec
+
+
+def _distinct_gram(spec: KernelSpec, items
+                   ) -> tuple[np.ndarray, np.ndarray, KernelSpec]:
+    """(Gram over the distinct rows of `items`, each item's row, resolved spec).
+
+    Rows are the distinct token tuples or vectors (-0.0 and 0.0 merge and
+    square alike), after a 'median' bandwidth resolves over all the items.
+    A value depends only on its two rows, so gathers have the dense bits.
+    """
+    if spec.kind in SEQUENCE_KINDS:
+        codes, lengths, inverse = _vocabulary(list(map(tokens_of, items)))
+        return sequence_gram(spec, codes, lengths, codes, lengths), inverse, spec
+    vectors = _vectors_of(items, spec.kind)
+    spec = resolve_spec(spec, vectors)
+    distinct, inverse = np.unique(vectors, axis=0, return_inverse=True)
+    return (gaussian_gram(distinct, distinct, spec.sigma_resolved),
+            inverse.ravel(), spec)
 
 
 def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
@@ -339,18 +356,11 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
     """
     if spec.kind in DISTRIBUTION_KINDS:
         raise ValueError("dist-expmmd Grams come from distribution_gram")
-    spec = resolve_spec(spec, items_a, items_b)
-    if spec.kind in SEQUENCE_KINDS:
-        seqs_a = list(map(tokens_of, items_a))
-        seqs_b = [] if items_b is None else list(map(tokens_of, items_b))
-        codes, lengths, inv = _vocabulary(seqs_a + seqs_b)
-        inv_a = inv[:len(seqs_a)]
-        inv_b = inv_a if items_b is None else inv[len(seqs_a):]
-        values = sequence_gram(spec, codes, lengths, codes, lengths)
-        return values[np.ix_(inv_a, inv_b)]
-    vec_a = _vectors_of(items_a, spec.kind)
-    vec_b = vec_a if items_b is None else _vectors_of(items_b, spec.kind)
-    return gaussian_gram(vec_a, vec_b, spec.sigma_resolved)
+    n = len(items_a)
+    kernel, inverse, _ = _distinct_gram(
+        spec, items_a if items_b is None else list(items_a) + list(items_b))
+    kernel = kernel.take(inverse[:n], axis=0)  # frees the distinct Gram first
+    return kernel.take(inverse[:n] if items_b is None else inverse[n:], axis=1)
 
 
 def difference_gram(spec: KernelSpec, items_a, items_b
@@ -360,9 +370,7 @@ def difference_gram(spec: KernelSpec, items_a, items_b
     Entry (i, j) is k(a_i, a_j) + k(b_i, b_j) - k(a_i, b_j) - k(b_i, a_j),
     summed as (K_aa + K_bb) - (K_ab + K_ba), so the matrix is exactly
     symmetric. A 'median' bandwidth resolves over the union of both lists.
-    Sequence kinds gather the three blocks from the vocabulary Gram, one
-    side's rows at a time; vector kinds evaluate them directly. No Gram
-    over the joint list is built.
+    The four blocks are gathered from `_distinct_gram`, a side at a time.
 
     Returns:
         (the (n, n) matrix, the resolved spec).
@@ -372,30 +380,18 @@ def difference_gram(spec: KernelSpec, items_a, items_b
     n = len(items_a)
     if len(items_b) != n:
         raise ValueError("paired item lists differ in length")
-    if spec.kind in SEQUENCE_KINDS:
-        codes, lengths, inv = _vocabulary(
-            list(map(tokens_of, items_a)) + list(map(tokens_of, items_b)))
-        kernel = sequence_gram(spec, codes, lengths, codes, lengths)
-        a, b = inv[:n], inv[n:]
-        # `take` gathers columns several times faster than `rows[:, b]`.
-        rows = kernel.take(a, axis=0)
-        k_ab, same = rows.take(b, axis=1), rows.take(a, axis=1)
-        del rows  # before the next gather, so that the two never coexist
-        rows = kernel.take(b, axis=0)
-        del kernel
-        same += rows.take(b, axis=1)
-        # K_ba from b's rows: K is exactly symmetric, so these are k_ab.T's
-        # bits, read without a transposed pass over an N^2 matrix.
-        k_ab += rows.take(a, axis=1)
-    else:
-        vectors = _vectors_of(list(items_a) + list(items_b), spec.kind)
-        spec = resolve_spec(spec, vectors)
-        va, vb = vectors[:n], vectors[n:]
-        sigma = spec.sigma_resolved
-        k_ab = gaussian_gram(va, vb, sigma)
-        same = gaussian_gram(va, va, sigma)
-        same += gaussian_gram(vb, vb, sigma)
-        k_ab = k_ab + k_ab.T
+    kernel, inverse, spec = _distinct_gram(spec, list(items_a) + list(items_b))
+    a, b = inverse[:n], inverse[n:]
+    # `take` gathers columns several times faster than `rows[:, b]`.
+    rows = kernel.take(a, axis=0)
+    k_ab, same = rows.take(b, axis=1), rows.take(a, axis=1)
+    del rows  # before the next gather, so that the two never coexist
+    rows = kernel.take(b, axis=0)
+    del kernel
+    same += rows.take(b, axis=1)
+    # K_ba from b's rows: K is exactly symmetric, so these are k_ab.T's
+    # bits, read without a transposed pass over an N^2 matrix.
+    k_ab += rows.take(a, axis=1)
     same -= k_ab
     return same, spec
 

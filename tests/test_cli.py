@@ -207,6 +207,7 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and str(out.parent) in err
         assert "Traceback" not in err
+        assert "Not a directory" in err
 
     @pytest.mark.parametrize("argv", [
         ["test", "--bootstrap", "20"],
@@ -569,6 +570,16 @@ class TestToyGenerate:
                            str(tmp_path / "d.jsonl"))
         assert code == 1
         assert "n is required" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "0"], ["--n", "1"], ["--n", "1", "--family", "rel"]])
+    def test_fewer_than_two_records_rejected(self, tmp_path, capsys, argv):
+        # estimate and rel-estimate need two records, so such a file is no use.
+        out = tmp_path / "d.jsonl"
+        code, _, err = run(capsys, "toy-generate", *argv, "--out", str(out))
+        assert code == 1
+        assert err.startswith("config error: n must be an integer >= 2")
+        assert not out.exists()
 
     def test_n_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

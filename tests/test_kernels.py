@@ -8,10 +8,10 @@ from scipy.spatial.distance import cdist
 
 from acmmd import kernels
 from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
-                           KernelSpec, distribution_gram, gaussian_gram, gram,
-                           hamming_gram, mean_pool, median_pairwise_distance,
-                           mmd_sq_matrix, mmd_sq_unbiased, resolve_spec,
-                           sequence_gram)
+                           KernelSpec, difference_gram, distribution_gram,
+                           gaussian_gram, gram, hamming_gram, mean_pool,
+                           median_pairwise_distance, mmd_sq_matrix,
+                           mmd_sq_unbiased, resolve_spec, sequence_gram)
 from acmmd.records import Item
 from acmmd.sequences import encode_sequences
 
@@ -262,6 +262,69 @@ class TestGrams:
         with pytest.raises(ValueError, match="embedding dimension mismatch"):
             gram(KernelSpec("gaussian", sigma=1.0), [Item(embedding=[1.0])],
                  [Item(embedding=[1.0, 2.0])])
+
+
+@st.composite
+def duplicated_items(draw):
+    """A kernel spec and two equally long item lists drawn with repeats from
+    a pool of at most four rows: rounded vectors with both signed zeros (d
+    may be 0), or token tuples."""
+    kind = draw(st.sampled_from(SEQUENCE_KINDS + VECTOR_KINDS))
+    if kind in VECTOR_KINDS:
+        coords = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.25])
+        row = arrays(np.float64, draw(st.integers(0, 3)), elements=coords)
+        sigma = draw(st.one_of(st.just("median"), st.floats(0.01, 100.0)))
+        spec = KernelSpec(kind, sigma=sigma)
+    else:
+        row = tokens_st.filter(bool) if kind == "tilted-exp-hamming" \
+            else tokens_st
+        spec = KernelSpec(kind, lam=draw(st.floats(0.01, 10.0)))
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    picks = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    return spec, draw(picks), draw(picks)
+
+
+def dense_grams(spec, a, b):
+    """(K_aa, K_ab, K_bb, resolved spec) evaluated on every row, duplicates
+    included, with a 'median' bandwidth resolved over a + b."""
+    n = len(a)
+    if spec.kind in VECTOR_KINDS:
+        vectors = np.stack(a + b)
+        if spec.sigma == "median":
+            spec = KernelSpec(spec.kind,
+                              sigma=median_pairwise_distance(vectors))
+        k = gaussian_gram(vectors, vectors, spec.sigma)
+    else:
+        codes, lengths = encode_sequences(a + b)
+        k = sequence_gram(spec, codes, lengths, codes, lengths)
+    return k[:n, :n], k[:n, n:], k[n:, n:], spec
+
+
+class TestGramsOverDistinctRows:
+    """Grams gathered from the distinct rows equal the dense Grams over
+    every row bitwise, and `difference_gram` equals (K_aa + K_bb) -
+    (K_ab + K_ab^T)."""
+
+    @given(duplicated_items())
+    @settings(max_examples=300, deadline=None)
+    def test_gathers_equal_dense(self, case):
+        spec, a, b = case
+        _, _, k_aa, _ = dense_grams(spec, [], a)  # the median over a alone
+        assert np.array_equal(gram(spec, a), k_aa)
+        _, k_ab, _, _ = dense_grams(spec, a, b)
+        assert np.array_equal(gram(spec, a, b), k_ab)
+
+    @given(duplicated_items())
+    @settings(max_examples=300, deadline=None)
+    def test_difference_gram_equals_dense(self, case):
+        spec, a, b = case
+        k_aa, k_ab, k_bb, resolved = dense_grams(spec, a, b)
+        same = k_aa + k_bb
+        same -= k_ab + k_ab.T
+        got, got_spec = difference_gram(spec, a, b)
+        assert got_spec == resolved
+        assert np.array_equal(got, same)
 
 
 def cdist_median(vectors):
