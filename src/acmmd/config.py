@@ -138,11 +138,19 @@ def config_rel_kernel_y(cfg: dict) -> KernelSpec:
     return ky
 
 
-def config_alpha(cfg: dict) -> float:
+def _number(value, key: str, what: str = "a number") -> float:
+    """`value` (a number or a numeric string) as a float; a JSON boolean is
+    not a number."""
     try:
-        alpha = float(cfg["alpha"])
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"alpha must be a number, got {cfg['alpha']!r}") from None
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def config_alpha(cfg: dict) -> float:
+    alpha = _number(cfg["alpha"], "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     return alpha
@@ -180,11 +188,7 @@ def config_sigma_p(cfg: dict) -> float | str:
     value = cfg["sigma_p"]
     if value == "median":
         return "median"
-    try:
-        sigma = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"sigma_p must be a number or 'median', got {value!r}") from None
+    sigma = _number(value, "sigma_p", "a number or 'median'")
     if not 0 < sigma < math.inf:
         raise ConfigError(f"sigma_p must be positive and finite, got {sigma}")
     return sigma
@@ -197,10 +201,7 @@ def _float_list(value, key: str) -> list[float]:
         parts = list(value)
     else:
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    try:
-        out = [float(p) for p in parts]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}") from None
+    out = [_number(p, key, "a list of numbers") for p in parts]
     if not out:
         raise ConfigError(f"{key} must not be empty")
     return out
@@ -249,7 +250,7 @@ def config_toy(cfg: dict) -> ToyConfig:
         prior = ToyPrior(atoms=tuple(atoms),
                          weights=tuple(weights) if weights else None)
         return ToyConfig(prior=prior, **{
-            key: float(cfg[key]) for key in ("delta_p", "lam", "kx_sigma")
-            if key in cfg})
+            key: _number(cfg[key], key)
+            for key in ("delta_p", "lam", "kx_sigma") if key in cfg})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (DISTRIBUTION_KINDS, KernelSpec, difference_gram,
-                      distribution_gram, gram, resolve_spec)
+                      distribution_gram, gram)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def h_from_columns(kx: KernelSpec, inputs, ky: KernelSpec, y_model, y
         g, ky = difference_gram(ky, y_model, y)
     else:
         g, ky = difference_gram(ky, y_model, y)
-        kx = resolve_spec(kx, inputs)
-        kx_gram = gram(kx, inputs)
+        kx_gram, kx = gram(kx, inputs)
     return HMatrix(values=kx_gram * g, kx=kx, ky=ky)
 
 

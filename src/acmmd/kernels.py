@@ -9,10 +9,12 @@ Three families are provided, all addressed through `KernelSpec`:
 
 Every Gram over items follows one rule: the kernel is evaluated over the
 distinct rows once (`_distinct_gram`: sorted token tuples, encoded by
-`_vocabulary`, or `np.unique` vectors) and gathered back to the items
-(`gram`, or `difference_gram` for h's output term). `mmd_sq_matrix` instead
-sums the vocabulary Gram into C K C^T over per-record counts C, in
-upper-triangle row panels within `_CHUNK_BYTES`.
+`_vocabulary`, or `np.unique` vectors, after a 'median' bandwidth resolves
+over all the items) and gathered back to the items (`gram`, or
+`difference_gram` for h's output term), which return the spec they
+resolved. `mmd_sq_matrix` instead sums the vocabulary Gram into C K C^T
+over per-record counts C, in upper-triangle row panels within
+`_CHUNK_BYTES`.
 Gaussian distances are filled in numpy row blocks of `_CHUNK_BYTES / 16`,
 which stay in cache, and equal scipy's cdist bitwise.
 Only `mmd_sq_matrix` loads scipy (`scipy.sparse`).
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .records import Item, tokens_of
-from .sequences import encode_sequences
+from .records import Item
+from .sequences import Tokens, encode_sequences
 
 SEQUENCE_KINDS = ("exp-hamming", "tilted-exp-hamming")
 VECTOR_KINDS = ("gaussian", "mean-gaussian")
@@ -96,7 +98,7 @@ class KernelSpec:
     def sigma_resolved(self) -> float:
         """Numeric bandwidth; raises if the median heuristic is unresolved."""
         if not isinstance(self.sigma, float):
-            raise ValueError("sigma is unresolved; call resolve_spec first")
+            raise ValueError("sigma is unresolved; a Gram resolves the median")
         return self.sigma
 
     def to_string(self) -> str:
@@ -116,6 +118,7 @@ class KernelSpec:
             raise ValueError("empty kernel spec")
         kwargs: dict = {}
         kind = parts[0].strip()
+        seen: set = set()
         i = 1
         while i < len(parts):
             seg = parts[i]
@@ -123,6 +126,9 @@ class KernelSpec:
                 raise ValueError(f"bad kernel spec segment {seg!r} in {text!r}")
             key, value = seg.split("=", 1)
             key = key.strip()
+            if key in seen:
+                raise ValueError(f"repeated kernel spec key {key!r} in {text!r}")
+            seen.add(key)
             if key == "inner":
                 inner_text = ":".join([value] + parts[i + 1:])
                 kwargs["inner"] = KernelSpec.parse(inner_text)
@@ -262,6 +268,15 @@ def mean_pool(per_position) -> np.ndarray:
     return arr.mean(axis=0)
 
 
+def _tokens_of(obj) -> Tokens:
+    """Token tuple of an Item or a raw sequence of tokens."""
+    if isinstance(obj, Item):
+        if obj.tokens is None:
+            raise ValueError("item has no token representation")
+        return obj.tokens
+    return tuple(obj)
+
+
 def _vector_of(item, kind: str) -> np.ndarray:
     if isinstance(item, Item):
         if kind == "mean-gaussian":
@@ -312,18 +327,6 @@ def _median_heuristic(dists: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def resolve_spec(spec: KernelSpec, items) -> KernelSpec:
-    """Replace a 'median' bandwidth with its value over the given items.
-
-    Sequence kernels resolve to themselves. The distribution kernel is
-    resolved by `distribution_gram`, which needs the MMD matrix first.
-    """
-    if spec.kind in VECTOR_KINDS and spec.sigma == "median":
-        sigma = median_pairwise_distance(_vectors_of(items, spec.kind))
-        return replace(spec, sigma=sigma)
-    return spec
-
-
 def _distinct_gram(spec: KernelSpec, items
                    ) -> tuple[np.ndarray, np.ndarray, KernelSpec]:
     """(Gram over the distinct rows of `items`, each item's row, resolved spec).
@@ -332,17 +335,21 @@ def _distinct_gram(spec: KernelSpec, items
     square alike), after a 'median' bandwidth resolves over all the items.
     A value depends only on its two rows, so gathers have the dense bits.
     """
+    if spec.kind in DISTRIBUTION_KINDS:
+        raise ValueError("dist-expmmd Grams come from distribution_gram")
     if spec.kind in SEQUENCE_KINDS:
-        codes, lengths, inverse = _vocabulary(list(map(tokens_of, items)))
+        codes, lengths, inverse = _vocabulary(list(map(_tokens_of, items)))
         return sequence_gram(spec, codes, lengths, codes, lengths), inverse, spec
     vectors = _vectors_of(items, spec.kind)
-    spec = resolve_spec(spec, vectors)
+    if spec.sigma == "median":
+        spec = replace(spec, sigma=median_pairwise_distance(vectors))
     distinct, inverse = np.unique(vectors, axis=0, return_inverse=True)
     return (gaussian_gram(distinct, distinct, spec.sigma_resolved),
             inverse.ravel(), spec)
 
 
-def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
+def gram(spec: KernelSpec, items_a, items_b=None
+         ) -> tuple[np.ndarray, KernelSpec]:
     """Gram matrix of the kernel over records (or raw sequences/vectors).
 
     Args:
@@ -352,15 +359,14 @@ def gram(spec: KernelSpec, items_a, items_b=None) -> np.ndarray:
         items_b: optional second list; omitted means the symmetric self-Gram.
 
     Returns:
-        (len(items_a), len(items_b)) float64 matrix.
+        (the (len(items_a), len(items_b)) float64 matrix, the resolved spec).
     """
-    if spec.kind in DISTRIBUTION_KINDS:
-        raise ValueError("dist-expmmd Grams come from distribution_gram")
     n = len(items_a)
-    kernel, inverse, _ = _distinct_gram(
+    kernel, inverse, spec = _distinct_gram(
         spec, items_a if items_b is None else list(items_a) + list(items_b))
     kernel = kernel.take(inverse[:n], axis=0)  # frees the distinct Gram first
-    return kernel.take(inverse[:n] if items_b is None else inverse[n:], axis=1)
+    return (kernel.take(inverse[:n] if items_b is None else inverse[n:], axis=1),
+            spec)
 
 
 def difference_gram(spec: KernelSpec, items_a, items_b
@@ -375,8 +381,6 @@ def difference_gram(spec: KernelSpec, items_a, items_b
     Returns:
         (the (n, n) matrix, the resolved spec).
     """
-    if spec.kind in DISTRIBUTION_KINDS:
-        raise ValueError("dist-expmmd Grams come from distribution_gram")
     n = len(items_a)
     if len(items_b) != n:
         raise ValueError("paired item lists differ in length")

@@ -107,12 +107,3 @@ class ReliabilityRecord:
         self.model_samples = tuple(map(_as_tokens, self.model_samples))
         if len(self.model_samples) < 2:
             raise ValueError("reliability records need at least 2 model samples")
-
-
-def tokens_of(obj) -> Tokens:
-    """Token tuple of an Item or a raw sequence of tokens."""
-    if isinstance(obj, Item):
-        if obj.tokens is None:
-            raise ValueError("item has no token representation")
-        return obj.tokens
-    return tuple(obj)

@@ -90,6 +90,49 @@ class TestExitCodes:
                            "--kernel-y", "no-such-kernel")
         assert code == 1
 
+    def test_repeated_kernel_spec_key_is_config_error(self, toy_data, capsys):
+        code, _, err = run(capsys, "estimate", "--input", str(toy_data),
+                           "--kernel-y", "exp-hamming:lambda=1.0:lambda=2.0")
+        assert code == 1
+        assert err.startswith("config error: kernel_y: repeated kernel spec "
+                              "key 'lambda'")
+
+    @pytest.mark.parametrize("option,message", [
+        (["--kernel-x", "mean-gaussian:sigma=1.0"],
+         "mean-gaussian needs a per_position matrix"),
+        (["--kernel-y", "gaussian:sigma=1.0"],
+         "item has no vector representation"),
+        (["--kernel-x", "exp-hamming"], "item has no token representation"),
+    ])
+    def test_missing_item_representation_is_data_error(self, tmp_path, capsys,
+                                                       option, message):
+        # Toy records carry scalar inputs and token outputs only.
+        path = tmp_path / "toy6.jsonl"
+        assert run(capsys, "toy-generate", "--n", "6", "--out", str(path))[0] == 0
+        code, _, err = run(capsys, "estimate", "--input", str(path), *option)
+        assert code == 2
+        assert err.strip() == f"data error: {message}"
+
+    @pytest.mark.parametrize("key,values,argv", [
+        ("delta_p", {"lam": True, "delta_p": False, "kx_sigma": "2.5"},
+         ["toy-exact"]),
+        ("lam", {"lam": True, "kx_sigma": "2.5"}, ["toy-exact"]),
+        ("kx_sigma", {"kx_sigma": True}, ["toy-exact"]),
+        ("sigma_p", {"sigma_p": True}, ["toy-exact"]),
+        ("weights", {"weights": [True, True]}, ["sweep"]),
+        ("delta_p_values", {"delta_p_values": [False]}, ["sweep"]),
+    ])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, key, values,
+                                          argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        if argv == ["sweep"]:
+            argv += ["--n-values", "10", "--n-seeds", "2", "--out",
+                     str(tmp_path / "out.csv")]
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1, out
+        assert err.startswith(f"config error: {key} must be ")
+
     def test_bad_alpha_is_config_error(self, toy_data, capsys):
         code, _, err = run(capsys, "test", "--input", str(toy_data),
                            "--alpha", "1.5")

@@ -86,8 +86,8 @@ class TestValueParsers:
     def test_alpha(self):
         assert config_alpha({"alpha": 0.05}) == 0.05
         assert config_alpha({"alpha": "0.1"}) == 0.1
-        for bad in (0.0, 1.0, "x", None):
-            with pytest.raises(ConfigError):
+        for bad in (0.0, 1.0, "x", None, True, False):
+            with pytest.raises(ConfigError, match="alpha"):
                 config_alpha({"alpha": bad})
 
     def test_positive_int(self):
@@ -124,8 +124,8 @@ class TestValueParsers:
         assert config_sigma_p({"sigma_p": "median"}) == "median"
         assert config_sigma_p({"sigma_p": "0.5"}) == 0.5
         assert config_sigma_p({"sigma_p": 2}) == 2.0
-        for bad in (0, -1, "wide", None):
-            with pytest.raises(ConfigError):
+        for bad in (0, -1, "wide", None, True):
+            with pytest.raises(ConfigError, match="sigma_p"):
                 config_sigma_p({"sigma_p": bad})
 
     def test_n_values(self):
@@ -141,8 +141,9 @@ class TestValueParsers:
     def test_delta_p_values(self):
         assert config_delta_p_values({"delta_p_values": "0.0,0.25"}) \
             == [0.0, 0.25]
-        with pytest.raises(ConfigError):
-            config_delta_p_values({"delta_p_values": "a,b"})
+        for bad in ("a,b", [False], [0.1, True]):
+            with pytest.raises(ConfigError, match="delta_p_values"):
+                config_delta_p_values({"delta_p_values": bad})
 
 
 class TestConfigToy:
@@ -174,3 +175,12 @@ class TestConfigToy:
             config_toy(self.base(atoms="0.7"))
         with pytest.raises(ConfigError, match="delta_p"):
             config_toy(self.base(delta_p=0.5))
+
+    def test_booleans_are_not_numbers(self):
+        # Numeric strings stay numbers; JSON booleans do not.
+        assert config_toy(self.base(kx_sigma="2.5")).kx_sigma == 2.5
+        for key in ("delta_p", "lam", "kx_sigma"):
+            with pytest.raises(ConfigError, match=f"^{key} must be a number"):
+                config_toy(self.base(**{key: True}))
+        with pytest.raises(ConfigError, match="^weights must be"):
+            config_toy(self.base(weights=[True, True]))

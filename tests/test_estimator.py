@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from acmmd import kernels
 from acmmd.estimator import (HMatrix, acmmd_sq, acmmd_sq_from_triplets,
                              h_matrix, sigma_h_sq)
 from acmmd.kernels import KernelSpec
@@ -113,6 +114,22 @@ class TestHMatrix:
                      KernelSpec("exp-hamming"))
         assert isinstance(h.kx.sigma, float)
         assert h.kx.sigma > 0
+
+    def test_inputs_become_rows_once(self, rng, monkeypatch):
+        # The median and the Gram read one conversion of the input column.
+        calls = []
+        vectors_of = kernels._vectors_of
+
+        def counted(items, kind):
+            calls.append(len(items))
+            return vectors_of(items, kind)
+
+        monkeypatch.setattr(kernels, "_vectors_of", counted)
+        triplets = random_triplets(rng, 5)
+        h = h_matrix(triplets, KernelSpec.parse("gaussian:sigma=median"),
+                     KernelSpec("exp-hamming"))
+        assert calls == [5]
+        assert isinstance(h.kx.sigma, float)
 
     def test_requires_two_triplets(self, rng):
         with pytest.raises(ValueError, match="at least 2"):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from acmmd._rng import SK_CELL, derive
 from acmmd.estimator import h_from_columns, h_matrix
 from acmmd.kernels import (KernelSpec, difference_gram, distribution_gram,
-                           gram, resolve_spec)
+                           gram)
 from acmmd.records import Item, ReliabilityRecord, Triplet
 from acmmd.reliability import acmmd_rel_test, rel_h_matrix
 from acmmd.sweep import _Plan, _run
@@ -34,7 +34,7 @@ def joint_h(kx_gram, ky, y_model, y):
     """h through one Gram over the joint output list."""
     n = len(y)
     outputs = list(y_model) + list(y)
-    joint = gram(resolve_spec(ky, outputs), outputs)
+    joint, _ = gram(ky, outputs)
     kmm, kyy, kmy = joint[:n, :n], joint[n:, n:], joint[:n, n:]
     return kx_gram * ((kmm + kyy) - (kmy + kmy.T))
 
@@ -76,14 +76,14 @@ def vector_triplets(draw):
 
 class TestGoFColumns:
     def check(self, triplets, kx, ky):
-        xs = [t.x for t in triplets]
-        kx = resolve_spec(kx, xs)
+        kx_gram, kx_resolved = gram(kx, [t.x for t in triplets])
         y_model = [t.y_model for t in triplets]
         y = [t.y for t in triplets]
-        want = joint_h(gram(kx, xs), ky, y_model, y)
+        want = joint_h(kx_gram, ky, y_model, y)
         got = h_matrix(triplets, kx, ky)
         assert np.array_equal(got.values, want)
-        assert got.ky == resolve_spec(ky, y_model + y)
+        assert got.kx == kx_resolved
+        assert got.ky == gram(ky, y_model + y)[1]
         return got, want
 
     @given(token_triplets())

@@ -11,7 +11,7 @@ from acmmd.kernels import (DISTRIBUTION_KINDS, SEQUENCE_KINDS, VECTOR_KINDS,
                            KernelSpec, difference_gram, distribution_gram,
                            gaussian_gram, gram, hamming_gram, mean_pool,
                            median_pairwise_distance, mmd_sq_matrix,
-                           mmd_sq_unbiased, resolve_spec, sequence_gram)
+                           mmd_sq_unbiased, sequence_gram)
 from acmmd.records import Item
 from acmmd.sequences import encode_sequences
 
@@ -102,6 +102,18 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="unresolved"):
             KernelSpec("gaussian").sigma_resolved
 
+    @pytest.mark.parametrize("text,key", [
+        ("exp-hamming:lambda=1.0:lambda=2.0", "lambda"),
+        ("gaussian:sigma=1:sigma=median", "sigma"),
+        ("exp-hamming:mode=padded:mode=padded", "mode"),
+        ("dist-expmmd:inner=exp-hamming:lambda=1:lambda=2", "lambda"),
+    ])
+    def test_repeated_key_rejected(self, text, key):
+        # The last value does not silently win.
+        with pytest.raises(ValueError,
+                           match=f"repeated kernel spec key '{key}'"):
+            KernelSpec.parse(text)
+
 
 def hamming_distances(seqs):
     """Padded Hamming distances between token sequences, via hamming_gram."""
@@ -146,11 +158,11 @@ class TestScalarKernels:
                 (("A",), ("B",), 1.0, 0.36787944117144233),
                 (("A", "A"), ("B", "B"), 1.0, 0.1353352832366127),
                 (("A",), ("B",), 0.5, 0.6065306597126334)]:
-            value = gram(KernelSpec("exp-hamming", lam=lam), [a], [b])[0, 0]
+            value = gram(KernelSpec("exp-hamming", lam=lam), [a], [b])[0][0, 0]
             assert value == pytest.approx(want, rel=1e-15)
 
     def test_tilted_divides_by_lengths(self):
-        value = gram(KernelSpec("tilted-exp-hamming"), [("A", "B")], [("A",)])
+        value, _ = gram(KernelSpec("tilted-exp-hamming"), [("A", "B")], [("A",)])
         assert value[0, 0] == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
 
     def test_tilted_rejects_empty(self):
@@ -162,10 +174,10 @@ class TestScalarKernels:
 
     def test_gaussian_values(self):
         spec = KernelSpec("gaussian", sigma=1.0)
-        assert gram(spec, [0.0], [0.0])[0, 0] == 1.0
-        assert gram(spec, [0.0], [1.0])[0, 0] == pytest.approx(
+        assert gram(spec, [0.0], [0.0])[0][0, 0] == 1.0
+        assert gram(spec, [0.0], [1.0])[0][0, 0] == pytest.approx(
             0.6065306597126334, rel=1e-15)
-        assert gram(spec, [[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == pytest.approx(
+        assert gram(spec, [[1.0, 0.0]], [[0.0, 1.0]])[0][0, 0] == pytest.approx(
             math.exp(-1.0), rel=1e-15)
 
     def test_gaussian_dimension_mismatch(self):
@@ -220,9 +232,9 @@ class TestGrams:
     def test_gram_on_items_dispatches_by_kind(self, rng):
         items = [Item(tokens=random_tokens(rng),
                       embedding=rng.normal(size=2)) for _ in range(5)]
-        seq_gram = gram(KernelSpec("exp-hamming"), items)
+        seq_gram, _ = gram(KernelSpec("exp-hamming"), items)
         assert seq_gram[0, 0] == 1.0
-        vec_gram = gram(KernelSpec("gaussian", sigma=1.0), items)
+        vec_gram, _ = gram(KernelSpec("gaussian", sigma=1.0), items)
         expected = brute_gaussian(items[0].embedding, items[1].embedding, 1.0)
         assert vec_gram[0, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -235,7 +247,7 @@ class TestGrams:
                 pool = [s if s else ("A",) for s in pool]
             a = [pool[i] for i in rng.integers(0, 4, 7)]
             b = [pool[i] for i in rng.integers(0, 4, 9)]
-            cross = gram(KernelSpec(kind, lam=0.5), a, b)
+            cross, _ = gram(KernelSpec(kind, lam=0.5), a, b)
             assert cross.shape == (7, 9)
             for i in range(7):
                 for j in range(9):
@@ -245,12 +257,12 @@ class TestGrams:
     def test_mean_gaussian_pools_per_position(self):
         items = [Item(per_position=[[0.0, 0.0], [2.0, 2.0]]),
                  Item(per_position=[[1.0, 1.0]])]
-        values = gram(KernelSpec("mean-gaussian", sigma=1.0), items)
+        values, _ = gram(KernelSpec("mean-gaussian", sigma=1.0), items)
         assert values[0, 1] == pytest.approx(1.0, rel=1e-15)
 
     def test_scalar_items_become_vectors(self):
         items = [Item(scalar=0.0), Item(scalar=1.0)]
-        values = gram(KernelSpec("gaussian", sigma=1.0), items)
+        values, _ = gram(KernelSpec("gaussian", sigma=1.0), items)
         assert values[0, 1] == pytest.approx(0.6065306597126334, rel=1e-15)
 
     def test_dimension_mismatch_rejected(self):
@@ -262,6 +274,26 @@ class TestGrams:
         with pytest.raises(ValueError, match="embedding dimension mismatch"):
             gram(KernelSpec("gaussian", sigma=1.0), [Item(embedding=[1.0])],
                  [Item(embedding=[1.0, 2.0])])
+
+
+class TestTokenRows:
+    """Sequence Grams read an Item's tokens, or a raw token sequence."""
+
+    def test_reads_tokens(self):
+        spec = KernelSpec("exp-hamming")
+        items = [Item(tokens=("A", "B"), scalar=1.0), Item(tokens=("B",))]
+        assert np.array_equal(gram(spec, items)[0],
+                              gram(spec, [("A", "B"), ("B",)])[0])
+
+    def test_passes_through_raw_sequences(self):
+        spec = KernelSpec("exp-hamming")
+        assert np.array_equal(gram(spec, [("A",)], [["A", "B"]])[0],
+                              gram(spec, [("A",)], [("A", "B")])[0])
+
+    def test_missing_tokens_rejected(self):
+        with pytest.raises(ValueError, match="token representation"):
+            gram(KernelSpec("exp-hamming"), [Item(tokens=("A",)),
+                                             Item(scalar=1.0)])
 
 
 @st.composite
@@ -311,9 +343,9 @@ class TestGramsOverDistinctRows:
     def test_gathers_equal_dense(self, case):
         spec, a, b = case
         _, _, k_aa, _ = dense_grams(spec, [], a)  # the median over a alone
-        assert np.array_equal(gram(spec, a), k_aa)
+        assert np.array_equal(gram(spec, a)[0], k_aa)
         _, k_ab, _, _ = dense_grams(spec, a, b)
-        assert np.array_equal(gram(spec, a, b), k_ab)
+        assert np.array_equal(gram(spec, a, b)[0], k_ab)
 
     @given(duplicated_items())
     @settings(max_examples=300, deadline=None)
@@ -325,6 +357,56 @@ class TestGramsOverDistinctRows:
         got, got_spec = difference_gram(spec, a, b)
         assert got_spec == resolved
         assert np.array_equal(got, same)
+
+
+@st.composite
+def duplicated_sample_sets(draw):
+    """A dist-expmmd spec and sample sets drawn with repeats from a pool of
+    at most four token tuples, so that MMD^2 estimates repeat and tie."""
+    pool = draw(st.lists(tokens_st, min_size=1, max_size=4))
+    sample = st.lists(st.sampled_from(pool), min_size=2, max_size=5)
+    sigma = draw(st.one_of(st.just("median"), st.floats(0.5, 100.0)))
+    spec = KernelSpec("dist-expmmd", sigma=sigma,
+                      inner=KernelSpec("exp-hamming", lam=draw(st.floats(0.1, 3.0))))
+    return spec, draw(st.lists(sample, min_size=1, max_size=8))
+
+
+class TestGramContract:
+    """Every Gram returns (values, the spec it resolved). A 'median' comes
+    back as a float: for a vector kind, the median pairwise distance over
+    all the rows given, duplicates included; other specs come back as they
+    went in."""
+
+    def check(self, result, spec, rows):
+        values, resolved = result
+        assert isinstance(values, np.ndarray)
+        assert isinstance(resolved, KernelSpec)
+        if spec.sigma != "median":
+            assert resolved == spec
+            return
+        assert resolved.kind == spec.kind
+        assert isinstance(resolved.sigma, float)
+        if spec.kind in VECTOR_KINDS:
+            assert resolved.sigma == median_pairwise_distance(np.stack(rows))
+
+    @given(duplicated_items())
+    @settings(max_examples=200, deadline=None)
+    def test_item_grams(self, case):
+        spec, a, b = case
+        self.check(gram(spec, a), spec, a)
+        self.check(gram(spec, a, b), spec, a + b)
+        self.check(difference_gram(spec, a, b), spec, a + b)
+
+    @given(duplicated_sample_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_gram(self, case):
+        spec, sets = case
+        try:
+            result = distribution_gram(spec, sets)
+        except ValueError as exc:  # a small sigma overflows khat
+            assert "khat overflows" in str(exc)
+            return
+        self.check(result, spec, None)
 
 
 def cdist_median(vectors):
@@ -391,12 +473,14 @@ class TestMedianHeuristic:
 
     def test_resolve_spec_fills_sigma(self):
         items = [Item(scalar=0.0), Item(scalar=1.0), Item(scalar=3.0)]
-        spec = resolve_spec(KernelSpec("gaussian"), items)
-        assert spec.sigma == 2.0
+        assert gram(KernelSpec("gaussian"), items)[1].sigma == 2.0
+        # Over both lists of a cross Gram.
+        assert gram(KernelSpec("gaussian"), items[:1], items[1:])[1].sigma \
+            == 2.0
 
     def test_resolve_leaves_numeric_sigma(self):
         spec = KernelSpec("gaussian", sigma=0.7)
-        assert resolve_spec(spec, [Item(scalar=0.0)]) == spec
+        assert gram(spec, [Item(scalar=0.0)])[1] == spec
 
 
 class TestMmd:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from acmmd.records import Item, ReliabilityRecord, Triplet, tokens_of
+from acmmd.records import Item, ReliabilityRecord, Triplet
 
 
 class TestItem:
@@ -51,19 +51,6 @@ class TestItem:
         assert a != c
         assert a != Item(scalar=1.0)
         assert (a == 5) is False
-
-
-class TestTokensOf:
-    def test_reads_tokens(self):
-        assert tokens_of(Item(tokens=("A", "B"))) == ("A", "B")
-
-    def test_passes_through_raw_sequences(self):
-        assert tokens_of(("A",)) == ("A",)
-        assert tokens_of(["A", "B"]) == ("A", "B")
-
-    def test_missing_tokens_rejected(self):
-        with pytest.raises(ValueError, match="token representation"):
-            tokens_of(Item(scalar=1.0))
 
 
 class TestRecords:
