@@ -26,20 +26,18 @@ from pathlib import Path
 
 import click
 
-from ._rng import SK_GROUP, derive
 from .config import (check_scope, config_alpha, config_bool,
-                     config_delta_p_values, config_family, config_group_by,
-                     config_kernel, config_n_values,
-                     config_optional_positive_int, config_positive_int,
-                     config_rel_kernel_y, config_sigma_p, config_toy,
-                     resolve_config)
+                     config_delta_p_values, config_family, config_kernel,
+                     config_n_values, config_optional_positive_int,
+                     config_positive_int, config_rel_kernel_y,
+                     config_sigma_p, config_toy, resolve_config)
 from .errors import ConfigError, DataError
 from .estimator import acmmd_sq, h_matrix, sigma_h_sq
 from .io import (load_reliability_records, load_triplets, make_parent,
                  write_report, write_reliability_records, write_triplets)
 from .reliability import default_inner_samples
 from .kernels import KernelSpec
-from .sweep import (run_group_sweep, run_toy_sweep, split_groups,
+from .sweep import (_run_per_group, run_group_sweep, run_toy_sweep,
                     summarize_sweep, write_sweep_csv)
 from .testing import acmmd_test, rel_report_fields
 from .toy import (TOY_ALPHABET, acmmd_rel_sq_exact, acmmd_sq_exact,
@@ -64,8 +62,8 @@ _opt_config = click.option("--config", "config_path", type=_PATH,
                            help="JSON config file; flags override it.")
 _opt_kernel_x = click.option("--kernel-x", help="Input kernel spec.")
 _opt_kernel_y = click.option("--kernel-y", help="Output kernel spec.")
-_opt_group_by = click.option("--group-by",
-                             help="Record label key to split on.")
+_opt_per_group = click.option("--per-group", is_flag=True, default=None,
+                              help="Run once per record group label.")
 _opt_alpha = click.option("--alpha", type=float, help="Test level.")
 _opt_bootstrap = click.option("--bootstrap", type=int,
                               help="Wild-bootstrap draw count.")
@@ -107,25 +105,6 @@ def _emit(report: dict, out_path) -> None:
         write_report(out_path, report)
     else:
         click.echo(json.dumps(report, sort_keys=True, indent=2))
-
-
-def _run_per_group(records, group_by, seed, run) -> dict:
-    """Report body of `run(members, seed) -> dict` over all records or per group.
-
-    Ungrouped, the body is the run over every record with `seed`. Grouped,
-    it is {"groups": [...]} with one entry per label, and group gi runs
-    with derive(seed, SK_GROUP, gi, 0, 1), the seed a one-seed group sweep
-    gives it. Runs that draw no random numbers pass seed None.
-    """
-    if group_by is None:
-        return run(records, seed)
-    entries = []
-    for gi, (label, members) in enumerate(split_groups(records)):
-        entry = run(members, None if seed is None
-                    else derive(seed, SK_GROUP, gi, 0, 1))
-        entry["group"] = label
-        entries.append(entry)
-    return {"groups": entries}
 
 
 def _family_kernels(rel: bool, cfg: dict
@@ -170,7 +149,7 @@ def _load_records(rel: bool, path, inner_samples: int | None) -> list:
 def _estimate(rel, command, input_path, out_path, config_path, **flags):
     cfg, _ = resolve_config(config_path, **flags)
     kx, ky, inner = _family_kernels(rel, cfg)
-    group_by = config_group_by(cfg)
+    per_group = config_bool(cfg, "per_group")
     make_parent(out_path)
     records = _load_records(rel, input_path, inner)
 
@@ -185,7 +164,7 @@ def _estimate(rel, command, input_path, out_path, config_path, **flags):
         return entry
 
     report: dict = {"command": command, "input": str(input_path)}
-    report.update(_run_per_group(records, group_by, None, run))
+    report.update(_run_per_group(records, per_group, None, run))
     _emit(report, out_path)
 
 
@@ -195,7 +174,7 @@ def _test(rel, command, input_path, out_path, config_path, **flags):
     alpha_v = config_alpha(cfg)
     b_count = config_positive_int(cfg, "bootstrap")
     seed_v = config_positive_int(cfg, "seed", minimum=0)
-    group_by = config_group_by(cfg)
+    per_group = config_bool(cfg, "per_group")
     make_parent(out_path)
     records = _load_records(rel, input_path, inner)
 
@@ -205,7 +184,7 @@ def _test(rel, command, input_path, out_path, config_path, **flags):
 
     report: dict = {"command": command, "input": str(input_path),
                     "seed": seed_v}
-    report.update(_run_per_group(records, group_by, seed_v, run))
+    report.update(_run_per_group(records, per_group, seed_v, run))
     _emit(report, out_path)
 
 
@@ -217,7 +196,7 @@ def _register(name: str, body, rel: bool, summary: str) -> None:
         *([_opt_kernel_y, _opt_sigma_p, _opt_inner_samples] if rel
           else [_opt_kernel_x, _opt_kernel_y]),
         *([_opt_alpha, _opt_bootstrap, _opt_seed] if body is _test else []),
-        _opt_group_by, _opt_out(), _opt_config]
+        _opt_per_group, _opt_out(), _opt_config]
     callback = functools.partial(body, rel, name)
     for option in reversed(options):  # as if stacked top to bottom
         callback = option(callback)

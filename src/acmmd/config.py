@@ -25,7 +25,7 @@ DEFAULTS: dict = {
     "family": "acmmd",
     "workers": 1,
     "timings": False,
-    "group_by": None,
+    "per_group": False,
     "subsample_n": None,
     "inner_samples": None,
     "n": None,
@@ -145,7 +145,7 @@ def _number(value, key: str, what: str = "a number") -> float:
         if isinstance(value, bool):
             raise TypeError
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
@@ -207,33 +207,25 @@ def _float_list(value, key: str) -> list[float]:
     return out
 
 
-def _int_list(value, key: str) -> list[int]:
-    floats = _float_list(value, key)
-    out = [int(v) for v in floats]
-    if any(i != f for i, f in zip(out, floats)):
-        raise ConfigError(f"{key} must hold integers, got {value!r}")
-    return out
-
-
-def config_n_values(cfg: dict) -> list[int]:
-    values = _int_list(cfg["n_values"], "n_values")
-    if any(v < 2 for v in values):
-        raise ConfigError("n_values entries must be >= 2")
+def _grid(values: list, key: str) -> list:
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} must not repeat a value, got {values}")
     return values
 
 
+def config_n_values(cfg: dict) -> list[int]:
+    floats = _float_list(cfg["n_values"], "n_values")
+    if not all(math.isfinite(f) and f == int(f) for f in floats):
+        raise ConfigError(f"n_values must hold integers, got "
+                          f"{cfg['n_values']!r}")
+    if any(f < 2 for f in floats):
+        raise ConfigError("n_values entries must be >= 2")
+    return _grid([int(f) for f in floats], "n_values")
+
+
 def config_delta_p_values(cfg: dict) -> list[float]:
-    return _float_list(cfg["delta_p_values"], "delta_p_values")
-
-
-def config_group_by(cfg: dict) -> str | None:
-    """The label field to split records on, or None for no grouping."""
-    group_by = cfg["group_by"]
-    if group_by not in (None, "group"):
-        raise ConfigError(
-            f"records carry a single label field 'group'; "
-            f"cannot group by {group_by!r}")
-    return group_by
+    return _grid(_float_list(cfg["delta_p_values"], "delta_p_values"),
+                 "delta_p_values")
 
 
 def config_toy(cfg: dict) -> ToyConfig:

@@ -52,10 +52,12 @@ def h_from_columns(kx: KernelSpec, inputs, ky: KernelSpec, y_model, y
     model and data outputs together. h is exactly symmetric.
 
     Raises:
-        ValueError: fewer than 2 records.
+        ValueError: fewer than 2 records, or not one input per record.
     """
     if len(y) < 2:
         raise ValueError("need at least 2 records")
+    if len(inputs) != len(y):
+        raise ValueError(f"{len(inputs)} inputs for {len(y)} records")
     # The side with the larger transient goes first, so that its peak does
     # not add to the other side's result: the MMD^2 panels for khat, the
     # vocabulary gathers for g.

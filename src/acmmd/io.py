@@ -57,7 +57,7 @@ def item_from_json(obj, where: str) -> Item:
             raise DataError(f"{where}: {key} must be {expected}")
     try:
         return Item(**obj)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 

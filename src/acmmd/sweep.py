@@ -141,7 +141,8 @@ def _run_plan(plan: _Plan, workers: int) -> list[SweepRow]:
         raise ConfigError("workers must be at least 1")
     tasks = [(ci, si) for ci in range(len(plan.cells))
              for si in range(plan.n_seeds)]
-    if workers == 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [_run(plan, ci, si) for ci, si in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(plan, workers)) as pool:
@@ -162,6 +163,8 @@ def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
     """
     if not n_values or not delta_p_values:
         raise ConfigError("sweep grids must be non-empty")
+    if any(len(set(v)) < len(v) for v in (n_values, delta_p_values)):
+        raise ConfigError("sweep grids must not repeat a value")
     cells = tuple((n, dp, toy.with_delta_p(dp))
                   for dp in delta_p_values for n in n_values)
     return _run_plan(_Plan(
@@ -171,17 +174,44 @@ def run_toy_sweep(toy: ToyConfig, n_values, delta_p_values, n_seeds: int,
         workers)
 
 
-def split_groups(records) -> list[tuple[str, list]]:
+def split_groups(records, n: int | None = None) -> list[tuple[str, list]]:
     """(label, members) for each group label, in sorted label order.
 
+    Every record must carry a label, and every group at least 2 records,
+    and at least `n` when it is given.
+
     Raises:
-        DataError: no record carries a group label.
+        DataError: an unlabeled record, or a group that is too small.
     """
-    labels = sorted({r.group for r in records if r.group is not None})
-    if not labels:
-        raise DataError("grouping requested but no record has a group label")
-    return [(label, [r for r in records if r.group == label])
-            for label in labels]
+    unlabeled = sum(r.group is None for r in records)
+    if unlabeled:
+        raise DataError(f"grouping requested but {unlabeled} of "
+                        f"{len(records)} records have no group label")
+    groups = [(label, [r for r in records if r.group == label])
+              for label in sorted({r.group for r in records})]
+    for label, members in groups:
+        if n is not None and n > len(members):
+            raise DataError(f"group {label!r} has {len(members)} records, "
+                            f"fewer than subsample_n={n}")
+        if len(members) < 2:
+            raise DataError(f"group {label!r} has fewer than 2 records")
+    return groups
+
+
+def _run_per_group(records, per_group: bool, seed, run) -> dict:
+    """Report body of `run(members, seed) -> dict` over all records or per group.
+
+    Without `per_group`, the body is the run over every record with `seed`.
+    With it, it is {"groups": [...]} with one entry per label, and group gi
+    runs with the test seed of cell (gi, 0) of a group sweep (see `_run`).
+    Runs that draw no random numbers pass seed None.
+    """
+    if not per_group:
+        return run(records, seed)
+    return {"groups": [
+        dict(run(members, None if seed is None
+                 else derive(seed, SK_GROUP, gi, 0, 1)), group=label)
+        for gi, (label, members) in enumerate(split_groups(records))]}
 
 
 def run_group_sweep(records, kx: KernelSpec, ky: KernelSpec, n_seeds: int,
@@ -194,19 +224,13 @@ def run_group_sweep(records, kx: KernelSpec, ky: KernelSpec, n_seeds: int,
     every seed index draws its own subsample (without replacement) from the
     group; without it, seeds only vary the test randomness.
     """
-    cells = []
-    for label, members in split_groups(records):
-        if subsample_n is not None and subsample_n > len(members):
-            raise DataError(
-                f"group {label!r} has {len(members)} records, "
-                f"fewer than subsample_n={subsample_n}")
-        n = subsample_n or len(members)
-        if n < 2:
-            raise DataError(f"group {label!r} has fewer than 2 records")
-        cells.append((n, label, members))
+    if subsample_n is not None and subsample_n < 2:
+        raise ConfigError(f"subsample_n must be at least 2, got {subsample_n}")
+    cells = tuple((subsample_n or len(members), label, members)
+                  for label, members in split_groups(records, subsample_n))
     return _run_plan(_Plan(
         kx=kx, ky=ky, alpha=alpha, bootstrap=bootstrap, inner_samples=None,
-        seed=seed, domain=SK_GROUP, cells=tuple(cells), n_seeds=n_seeds,
+        seed=seed, domain=SK_GROUP, cells=cells, n_seeds=n_seeds,
         timings=timings), workers)
 
 

@@ -181,11 +181,50 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["estimate", "test", "rel-estimate",
                                          "rel-test"])
-    def test_group_by_checked_before_reading(self, capsys, command):
-        code, _, err = run(capsys, command, "--group-by", "foo",
+    def test_group_by_checked_before_reading(self, tmp_path, capsys,
+                                             command):
+        # per_group is a JSON boolean; the input does not exist.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"per_group": "group"}))
+        code, _, err = run(capsys, command, "--config", str(cfg),
                            "--input", "nope.jsonl")
         assert code == 1
-        assert "config error" in err
+        assert "config error: per_group" in err
+
+    def test_old_group_by_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group_by": "group"}))
+        code, _, err = run(capsys, "test", "--config", str(cfg),
+                           "--input", "nope.jsonl")
+        assert code == 1
+        assert "unknown keys ['group_by']" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-values", "inf"], "n_values must hold integers"),
+        (["--n-values", "nan"], "n_values must hold integers"),
+        (["--n-values", "10,10"], "n_values must not repeat"),
+        (["--n-values", "10", "--delta-p-values", "0.25,0.25"],
+         "delta_p_values must not repeat"),
+    ])
+    def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, argv,
+                                            message, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config check")
+
+        monkeypatch.setattr("acmmd.sweep._sample_columns", no_sampling)
+        out = tmp_path / "sub" / "out.csv"
+        code, _, err = run(capsys, "sweep", *argv, "--n-seeds", "3",
+                           "--out", str(out))
+        assert code == 1
+        assert f"config error: {message}" in err
+        assert not out.parent.exists()
+
+    def test_oversized_config_number_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lam": ' + "1" * 401 + "}")
+        code, _, err = run(capsys, "toy-exact", "--config", str(cfg))
+        assert code == 1
+        assert "config error: lam must be a number" in err
 
     @pytest.mark.parametrize("key,argv", [
         ("kernel_x", ["--family", "rel", "--kernel-x", "bogus"]),
@@ -356,16 +395,10 @@ class TestEstimate:
 
     def test_group_mode_reports_each_label(self, grouped_data, capsys):
         payload = run_json(capsys, "estimate", "--input", str(grouped_data),
-                           "--group-by", "group")
+                           "--per-group")
         labels = [entry["group"] for entry in payload["groups"]]
         assert labels == sorted(labels)
         assert all(entry["n"] >= 2 for entry in payload["groups"])
-
-    def test_group_by_unknown_key_rejected(self, toy_data, capsys):
-        code, _, err = run(capsys, "estimate", "--input", str(toy_data),
-                           "--group-by", "speaker")
-        assert code == 1
-        assert "group" in err
 
 
 class TestTest:
@@ -394,7 +427,7 @@ class TestTest:
 
     def test_group_mode_uses_per_group_seeds(self, grouped_data, capsys):
         payload = run_json(capsys, "test", "--input", str(grouped_data),
-                           "--group-by", "group", "--bootstrap", "25")
+                           "--per-group", "--bootstrap", "25")
         groups = payload["groups"]
         assert len(groups) == 2
         assert all(g["group"].startswith("p=") for g in groups)
@@ -411,37 +444,37 @@ PINNED_REPORTS = {
         ("estimate",),
         "a09948576eea7f6bc48c4c974e44cb4c5e408ad33e855f417f3601a98040f296"),
     "estimate-grouped": (
-        ("estimate", "--group-by", "group"),
+        ("estimate", "--per-group"),
         "168f1f0795e160ac7798d3b7398897b90ad8a19a9f0be8afe8d3292f24bca1e0"),
     "test": (
         ("test",),
         "fd356c4d3224fc9d7a34948257c900cbff1c5223ce35895859b929289a2f6b07"),
     "test-grouped": (
-        ("test", "--group-by", "group"),
+        ("test", "--per-group"),
         "dde513141555aa1dc99ca32f9d6ef326fd1421d48f1376182b3a5292e93ae3ca"),
     "rel-estimate": (
         ("rel-estimate",),
         "24e1aed86074ac4f5d902f5dfd913682c843085a7859f353d3a78da01dd6940e"),
     "rel-estimate-grouped": (
-        ("rel-estimate", "--group-by", "group"),
+        ("rel-estimate", "--per-group"),
         "46f1066eb954129b5e89b3623daeb441ec6be922f479c83be030b66e814a7187"),
     "rel-estimate-trimmed": (
         ("rel-estimate", "--inner-samples", "4"),
         "f221b31dc35efdecfcf3527e58d9f84871650371c535b5b568065c26a8a18181"),
     "rel-estimate-grouped-trimmed": (
-        ("rel-estimate", "--group-by", "group", "--inner-samples", "4"),
+        ("rel-estimate", "--per-group", "--inner-samples", "4"),
         "f8910c5fe6b255bffc870a34e253a24461949af560e2b16cb5ef587d2dbed33f"),
     "rel-test": (
         ("rel-test",),
         "793664ecce427e1e70be821e49839a9973b09ef016300bcb6d0cc83000568cfe"),
     "rel-test-grouped": (
-        ("rel-test", "--group-by", "group"),
+        ("rel-test", "--per-group"),
         "48387a8f0d893261b3b7d4d38dd1658c48fea2ae60200c573710c481d1a831a1"),
     "rel-test-trimmed": (
         ("rel-test", "--inner-samples", "4"),
         "b6fdba0e54624e7fc27f82ef444080818613882338aa0a24eab934dab9a94949"),
     "rel-test-grouped-trimmed": (
-        ("rel-test", "--group-by", "group", "--inner-samples", "4"),
+        ("rel-test", "--per-group", "--inner-samples", "4"),
         "6591688cda03232e53c49c88bc2f422f5ae4a21126d379365ec405080fd274a1"),
 }
 
@@ -469,12 +502,12 @@ class TestPinnedReports:
 PINNED_HELP = {
     "": "383d7296fd4535a283b45d92890018e7c17e52178b5000fa7a700b9ede23fdc6",
     "estimate":
-        "8457a69199a6d8ecb1970bb00f8b2ae31ac9a8b4766678e64ab1640311df8a26",
-    "test": "0babf1699bafc9d101d21ad34a5ce8b8351a4edf5f190a626ad1a78748a5c6f4",
+        "46f8a0cdf97d360808cb5c716c66255f4e7a085e498682feaf655d51aea574d1",
+    "test": "263f1fd520aef10558da81b2513f1506cd378eb58a6f05a90db2b3976830b994",
     "rel-estimate":
-        "7dd3bd94f9f38c37ecd3b3167cd45aca52cad82f08d83e4374ce1fe80eace6c1",
+        "a7c19386164227480dc4c03aab8103bba523fd7d1e97c2885372b048b55ba804",
     "rel-test":
-        "a864ac3fc248247433fc13d9836049a6b3c5cf803e037e7d56c64e4279514667",
+        "76e4403920ca51cb3796dfb4136e998f6d1a3723d437003a9468e588be24005b",
     "sweep": "c2f5dd1eeef87b886c77157ba297bebff458cd2e4bff3e3462c73070843f680e",
     "toy-generate":
         "e67e05250093f2d2d26b9d3914a0a47fc20f913863d109964d0ccfb11b12445e",
@@ -786,7 +819,7 @@ class TestSweepDataset:
         assert code == 0, err
         common = ("--input", str(data), "--bootstrap", "25", "--seed", "8")
         groups = run_json(capsys, command, *common,
-                          "--group-by", "group")["groups"]
+                          "--per-group")["groups"]
         out = tmp_path / "s.csv"
         code, _, err = run(capsys, "sweep", "--family", family, *common,
                            "--n-seeds", "1", "--out", str(out))
@@ -804,3 +837,56 @@ class TestSweepDataset:
                            "--out", str(tmp_path / "s.csv"))
         assert code == 1
         assert "--input" in err
+
+
+class TestGroupRule:
+    """Every grouped dataset command and the dataset sweep share one rule:
+    every record labeled, every group at least 2 records."""
+
+    @pytest.fixture(params=["estimate", "test", "rel-estimate", "rel-test",
+                            "sweep"])
+    def grouped_run(self, request, tmp_path, capsys):
+        command = request.param
+        rel = command.startswith("rel-")
+        family = ["--family", "rel" if rel else "acmmd"]
+        samples = ["--inner-samples", "4"] if rel else []
+        data = tmp_path / "data.jsonl"
+        assert main(["toy-generate", "--n", "12", "--atoms", "0.3,0.45",
+                     "--delta-p", "0.25", *family, *samples, "--seed", "5",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        if command == "sweep":
+            argv = ["sweep", family[0], "rel" if rel else "acmmd",
+                    "--n-seeds", "1", "--bootstrap", "20",
+                    "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = [command, "--per-group"]
+        return data, [*argv, "--input", str(data)]
+
+    def relabel(self, path, label_of):
+        """Give record i the group label_of(i); None leaves it unlabeled."""
+        comment, *lines = path.read_text().splitlines()
+        records = []
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            record.pop("group")
+            if label_of(i) is not None:
+                record["group"] = label_of(i)
+            records.append(json.dumps(record))
+        path.write_text("\n".join([comment, *records]) + "\n")
+
+    def test_unlabeled_record_is_data_error(self, grouped_run, capsys):
+        data, argv = grouped_run
+        self.relabel(data, lambda i: None if i < 2 else "a")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "2 of 12 records have no group label" in err
+
+    def test_one_record_group_is_data_error(self, grouped_run, capsys):
+        data, argv = grouped_run
+        # Group "b" sorts last: nothing runs before the check fails.
+        self.relabel(data, lambda i: "b" if i == 0 else "a")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "group 'b' has fewer than 2 records" in err
+        assert out == ""

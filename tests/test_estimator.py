@@ -5,7 +5,7 @@ import pytest
 
 from acmmd import kernels
 from acmmd.estimator import (HMatrix, acmmd_sq, acmmd_sq_from_triplets,
-                             h_matrix, sigma_h_sq)
+                             h_from_columns, h_matrix, sigma_h_sq)
 from acmmd.kernels import KernelSpec
 from acmmd.records import Item, Triplet
 
@@ -135,6 +135,19 @@ class TestHMatrix:
         with pytest.raises(ValueError, match="at least 2"):
             h_matrix(random_triplets(rng, 1), KernelSpec("gaussian", sigma=1.0),
                      KernelSpec("exp-hamming"))
+
+    @pytest.mark.parametrize("kx,inputs", [
+        (KernelSpec("gaussian", sigma=1.0), np.zeros((1, 1))),
+        (KernelSpec("gaussian", sigma=1.0), np.zeros((2, 1))),
+        (KernelSpec("dist-expmmd", sigma=1.0, inner=KernelSpec("exp-hamming")),
+         [(("A",), ("B", "A"))]),
+    ])
+    def test_one_input_per_record(self, kx, inputs):
+        # Neither a broadcast nor a numpy shape error: the lengths are named.
+        ys = [("A",), ("B",), ("A", "B"), ("B", "A")]
+        with pytest.raises(ValueError,
+                           match=f"^{len(inputs)} inputs for 4 records$"):
+            h_from_columns(kx, inputs, KernelSpec("exp-hamming"), ys, ys)
 
 
 class TestAcmmdSq:

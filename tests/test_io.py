@@ -117,6 +117,14 @@ class TestTripletErrors:
         with pytest.raises(DataError, match="unknown fields.*weird"):
             load_triplets(path)
 
+    @pytest.mark.parametrize("x", [{"scalar": 10 ** 400},
+                                   {"embedding": [1.0, 10 ** 400]}])
+    def test_number_too_large_for_a_float(self, tmp_path, x):
+        obj = {"x": x, "y": {"tokens": []}, "y_model": {"tokens": []}}
+        path = self.write_lines(tmp_path, [json.dumps(obj)])
+        with pytest.raises(DataError, match=r"bad\.jsonl:1 \(x\): .*too large"):
+            load_triplets(path)
+
     def test_non_object_record(self, tmp_path):
         path = self.write_lines(tmp_path, ["[1, 2, 3]"])
         with pytest.raises(DataError, match="record must be an object"):

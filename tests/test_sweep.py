@@ -14,7 +14,7 @@ from acmmd.cli import main
 from acmmd.errors import ConfigError, DataError
 from acmmd.kernels import KernelSpec
 from acmmd.sweep import (SweepRow, run_group_sweep, run_toy_sweep,
-                         summarize_sweep, write_sweep_csv)
+                         split_groups, summarize_sweep, write_sweep_csv)
 from acmmd.toy import (ToyConfig, ToyPrior, generate_reliability_records,
                        generate_triplets)
 
@@ -51,6 +51,37 @@ class TestRunToySweep:
         timed = run_toy_sweep(toy(), [4], [0.0], 1, bootstrap=20,
                               timings=True)
         assert timed[0].runtime_ms > 0
+
+    @pytest.mark.parametrize("n_values,delta_p_values", [
+        ([4, 4], [0.0]), ([4], [0.25, 0.25])])
+    def test_repeated_grid_value_rejected(self, n_values, delta_p_values):
+        with pytest.raises(ConfigError, match="repeat"):
+            run_toy_sweep(toy(), n_values, delta_p_values, 2, bootstrap=20)
+
+    def test_pool_no_larger_than_task_list(self, monkeypatch):
+        # The stub starts no process: it runs the tasks here, in order.
+        seen = {}
+
+        class StubPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen["max_workers"], seen["initargs"] = max_workers, initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [sweep._run(seen["initargs"][0], *t) for t in tasks]
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", StubPool)
+        rows = run_toy_sweep(toy(), [4], [0.0, 0.25], 1, bootstrap=20,
+                             workers=64)
+        assert seen["max_workers"] == 2
+        assert seen["initargs"][1] == 2
+        assert rows == run_toy_sweep(toy(), [4], [0.0, 0.25], 1,
+                                     bootstrap=20)
 
 
 class TestRunGroupSweep:
@@ -108,6 +139,27 @@ class TestRunGroupSweep:
                             KernelSpec("gaussian", sigma=1.0),
                             KernelSpec("exp-hamming"), n_seeds=1,
                             subsample_n=4, bootstrap=20)
+
+    def test_subsample_below_two_rejected(self):
+        with pytest.raises(ConfigError, match="subsample_n"):
+            run_group_sweep(self.records(), KernelSpec("gaussian", sigma=1.0),
+                            KernelSpec("exp-hamming"), n_seeds=1,
+                            subsample_n=1, bootstrap=20)
+
+    def test_split_groups_sorts_and_checks(self):
+        records = self.records()
+        groups = split_groups(records[::-1])
+        assert [label for label, _ in groups] == ["p=0.3", "p=0.45"]
+        assert [len(members) for _, members in groups] == [8, 8]
+        with pytest.raises(DataError, match="'p=0.3' has 8 records, "
+                           "fewer than subsample_n=9"):
+            split_groups(records, 9)
+        with pytest.raises(DataError, match="'p=0.45' has fewer than 2"):
+            split_groups(records[:9])
+        unlabeled = [type(t)(x=t.x, y=t.y, y_model=t.y_model, group=None)
+                     for t in records[:3]]
+        with pytest.raises(DataError, match="3 of 16 records have no group"):
+            split_groups(unlabeled + records[3:])
 
     def test_unlabeled_records_rejected(self):
         records = [t for t in self.records()]
