@@ -11,7 +11,10 @@ The keys of a record are the fields of its dataclass, and a field without a
 default is required: Triplet records need `x`, `y`, and `y_model`.
 Reliability records need `y`, `y_model`, and `model_samples`, a list of at
 least 2 model samples, each `{"tokens": [...]}` and nothing else; `x` is
-optional. Either kind may carry a string `group`.
+optional. Either kind may carry a string `group`. Each distinct model
+sample is checked once per file: a later `{"tokens": [...]}` equal to one
+already checked is that sample's tuple, and anything else is checked with
+its own located message.
 """
 
 from __future__ import annotations
@@ -61,14 +64,28 @@ def item_from_json(obj, where: str) -> Item:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _sample_from_json(obj, alphabet: Alphabet | None, where: str) -> Tokens:
-    """Token tuple of a model sample, which must be {"tokens": [strings]}."""
-    if not (isinstance(obj, dict) and set(obj) == {"tokens"}
-            and _list_of(obj["tokens"], {str})):
-        raise DataError(f"{where}: a model sample must be "
-                        '{"tokens": [strings]} with no other field')
-    _check_tokens(obj["tokens"], alphabet, where)
-    return tuple(obj["tokens"])
+def _sample_from_json(obj, alphabet: Alphabet | None, checked: dict,
+                      where: str, index: int) -> Tokens:
+    """Token tuple of model sample `index`, which must be {"tokens": [strings]}.
+
+    `checked` maps each sample tuple seen in this file to itself, and a
+    repeat of one is that tuple. A first sighting is stored, then checked; a
+    failed check ends the load, so no unchecked tuple is ever returned.
+    """
+    if type(obj) is dict and len(obj) == 1 and type(obj.get("tokens")) is list:
+        tokens = tuple(obj["tokens"])
+        try:
+            stored = checked.setdefault(tokens, tokens)
+            if stored is not tokens:
+                return stored
+            "".join(tokens)  # every token is a string
+        except TypeError:  # an unhashable or non-string token
+            pass
+        else:
+            _check_tokens(tokens, alphabet, f"{where} (model_samples[{index}])")
+            return tokens
+    raise DataError(f"{where} (model_samples[{index}]): a model sample must be "
+                    '{"tokens": [strings]} with no other field')
 
 
 def item_to_json(item: Item) -> dict:
@@ -150,9 +167,11 @@ def _check_tokens(tokens, alphabet: Alphabet | None, where: str) -> None:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _field_from_json(name: str, value, alphabet: Alphabet | None, where: str):
-    """Parse record field `name`: the group label, the model samples, or an
-    item whose tokens are checked against the alphabet."""
+def _field_from_json(name: str, value, alphabet: Alphabet | None,
+                     checked: dict, where: str):
+    """Parse record field `name`: the group label, the model samples (see
+    `_sample_from_json` for `checked`), or an item whose tokens are checked
+    against the alphabet."""
     if name == "group":
         if value is not None and not isinstance(value, str):
             raise DataError(f"{where}: group must be a string")
@@ -160,9 +179,8 @@ def _field_from_json(name: str, value, alphabet: Alphabet | None, where: str):
     if name == "model_samples":
         if not isinstance(value, list):
             raise DataError(f"{where}: model_samples must be a list")
-        return tuple(
-            _sample_from_json(s, alphabet, f"{where} (model_samples[{i}])")
-            for i, s in enumerate(value))
+        return tuple(_sample_from_json(s, alphabet, checked, where, i)
+                     for i, s in enumerate(value))
     item = item_from_json(value, f"{where} ({name})")
     _check_tokens(item.tokens, alphabet, f"{where} ({name})")
     return item
@@ -178,6 +196,7 @@ def _load(path, kind):
     required = [f.name for f in fields if f.default is dataclasses.MISSING]
     records = []
     alphabet = None
+    checked: dict = {}
     for lineno, obj, alphabet in _iter_records(path):
         where = f"{path}:{lineno}"
         for key in required:
@@ -186,7 +205,8 @@ def _load(path, kind):
         extra = set(obj).difference(names)
         if extra:
             raise DataError(f"{where}: unknown fields {sorted(extra)}")
-        values = {name: _field_from_json(name, obj[name], alphabet, where)
+        values = {name: _field_from_json(name, obj[name], alphabet, checked,
+                                         where)
                   for name in names if name in obj}
         try:
             records.append(kind(**values))

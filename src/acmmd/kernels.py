@@ -13,8 +13,8 @@ distinct rows once (`_distinct_gram`: sorted token tuples, encoded by
 over all the items) and gathered back to the items (`gram`, or
 `difference_gram` for h's output term), which return the spec they
 resolved. `mmd_sq_matrix` instead sums the vocabulary Gram into C K C^T
-over per-record counts C, in upper-triangle row panels within
-`_CHUNK_BYTES`.
+over per-record counts C, in upper-triangle row blocks within
+`_CHUNK_BYTES`, adding the records x records term once per tall panel.
 Gaussian distances are filled in numpy row blocks of `_CHUNK_BYTES / 16`,
 which stay in cache, and equal scipy's cdist bitwise.
 Only `mmd_sq_matrix` loads scipy (`scipy.sparse`).
@@ -34,8 +34,11 @@ SEQUENCE_KINDS = ("exp-hamming", "tilted-exp-hamming")
 VECTOR_KINDS = ("gaussian", "mean-gaussian")
 DISTRIBUTION_KINDS = ("dist-expmmd",)
 
-# Byte budget of an MMD^2 panel's temporaries, and of indicators built once.
+# Byte budget of an MMD^2 block's temporaries with its tall panel's share of
+# Z, and of indicators built once.
 _CHUNK_BYTES = 1 << 24
+# Row blocks per tall MMD^2 panel, whose cross term is added in one product.
+_PANEL_BLOCKS = 8
 # Indicator columns per Hamming matrix product: deep products make fewer
 # passes over the output, and the indicators stay at 4 KiB per row.
 _GEMM_DEPTH = 1024
@@ -448,22 +451,30 @@ def mmd_sq_matrix(sample_sets, ky: KernelSpec) -> np.ndarray:
         shape=(n_rec, v)).tocsc()
 
     # C K C^T = X + X^T, X summing C[:, P] K[P, s:] C[:, s:]^T with K[P, P]
-    # halved over row panels P = [s, e). A panel holds at most 16 bytes per
-    # entry at once (README § Kernels), and 8 per record and row.
+    # halved over row blocks P = [s, e). Each block's rows of Z = K[P, s:]
+    # C[:, s:]^T fill one buffer, and X gains C[:, T] Z[T] once per tall
+    # panel T of `_PANEL_BLOCKS` blocks. A block holds at most 16 bytes per
+    # entry at once (README § Kernels), and Z 8 per record and tall row.
     present = np.unique(codes)
     blocks = (list(_indicators(codes, present))
               if 4 * codes.size * len(present) <= _CHUNK_BYTES else None)
     cross = np.zeros((n_rec, n_rec), dtype=np.float64)
-    rows = max(1, _CHUNK_BYTES // (16 * v + 8 * n_rec))
-    for start in range(0, v, rows):
-        stop = min(v, start + rows)
-        kernel = sequence_gram(
-            ky, codes[start:stop], lengths[start:stop], codes[start:],
-            lengths[start:], None if blocks is None else [
-                (block[start:stop], block[start:]) for block in blocks])
-        kernel[:, :stop - start] *= 0.5
-        cross += counts[:, start:stop] @ (kernel @ counts[:, start:].T)
-    del blocks  # so that the assembly below does not add to the loop's peak
+    rows = max(1, _CHUNK_BYTES // (16 * v + 8 * _PANEL_BLOCKS * n_rec))
+    tall = min(v, rows * _PANEL_BLOCKS)
+    z = np.empty((tall, n_rec))
+    for top in range(0, v, tall):
+        bottom = min(v, top + tall)
+        for start in range(top, bottom, rows):
+            stop = min(bottom, start + rows)
+            kernel = sequence_gram(
+                ky, codes[start:stop], lengths[start:stop], codes[start:],
+                lengths[start:], None if blocks is None else [
+                    (block[start:stop], block[start:]) for block in blocks])
+            kernel[:, :stop - start] *= 0.5
+            z[start - top:stop - top] = kernel @ counts[:, start:].T
+            del kernel  # so that the tall product does not add to its peak
+        cross += counts[:, top:bottom] @ z[:bottom - top]
+    del blocks, z  # nor to the assembly's below
     cross += cross.T
 
     if ky.kind == "tilted-exp-hamming":

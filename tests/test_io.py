@@ -273,6 +273,70 @@ class TestReliabilityIo:
             load_reliability_records(path)
 
 
+class TestRepeatedSamples:
+    """Each distinct model sample is checked once per file; repeats share
+    its tuple and every bad sample keeps its located message."""
+
+    GOOD = {"tokens": ["A", "B"]}
+    SHAPE = ' (model_samples[2]): a model sample must be {"tokens": [strings]} ' \
+        "with no other field"
+
+    @staticmethod
+    def write(path, header, *sample_lists):
+        path.write_text(header + "".join(
+            json.dumps({"y": {"tokens": []}, "y_model": {"tokens": []},
+                        "model_samples": samples}) + "\n"
+            for samples in sample_lists))
+        return path
+
+    def test_repeats_load_equal_and_shared(self, tmp_path):
+        records = [
+            ReliabilityRecord(y=Item(tokens=()), y_model=Item(tokens=("A",)),
+                              model_samples=[("A", "B"), ("B",), ("A", "B")]),
+            ReliabilityRecord(y=Item(tokens=("B",)), y_model=Item(tokens=()),
+                              model_samples=[("B",), ("A", "B"), ()]),
+        ]
+        path = tmp_path / "rel.jsonl"
+        write_reliability_records(path, records, Alphabet(("A", "B")))
+        loaded, _ = load_reliability_records(path)
+        assert loaded == records
+        first, second = loaded[0].model_samples, loaded[1].model_samples
+        assert first[0] is first[2] is second[1]
+        assert first[1] is second[0]
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"tokens": ["A", "B"], "scalar": 1.0}, SHAPE),
+        ({"tokens": ["A", 1]}, SHAPE),
+        ({"tokens": [["A"], "B"]}, SHAPE),
+        ({"tokens": "AB"}, SHAPE),
+        ({"tokens": ["A", "Z"]}, " (model_samples[2]): token 'Z' not in alphabet"),
+        ({"tokens": ["A", "STOP"]},
+         " (model_samples[2]): terminal symbol 'STOP' inside a sequence"),
+        (["A", "B"], SHAPE),
+        (None, ": reliability records need at least 2 model samples"),
+    ], ids=["extra-key", "non-string-token", "nested-list", "string-tokens",
+            "foreign-token", "terminal", "non-object", "one-sample"])
+    def test_bad_sample_after_good_duplicate(self, tmp_path, bad, message):
+        path = self.write(
+            tmp_path / "rel.jsonl", "# alphabet=A,B,STOP terminal=STOP\n",
+            [self.GOOD, self.GOOD],
+            [self.GOOD] if bad is None else [self.GOOD, self.GOOD, bad])
+        with pytest.raises(DataError) as err:
+            load_reliability_records(path)
+        assert str(err.value) == f"{path}:3{message}"
+
+    def test_loads_do_not_share_checks(self, tmp_path):
+        samples = [{"tokens": ["B"]}, {"tokens": ["A"]}]
+        wide = self.write(tmp_path / "wide.jsonl", "# alphabet=A,B\n", samples)
+        narrow = self.write(tmp_path / "narrow.jsonl", "# alphabet=B\n",
+                            samples)
+        load_reliability_records(wide)
+        with pytest.raises(DataError) as err:
+            load_reliability_records(narrow)
+        assert str(err.value) == (
+            f"{narrow}:2 (model_samples[1]): token 'A' not in alphabet")
+
+
 class TestWriteReport:
     def test_stable_formatting(self, tmp_path):
         path = tmp_path / "out" / "report.json"

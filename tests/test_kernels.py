@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
@@ -534,15 +535,18 @@ def brute_mmd_matrix(sets, ky):
     return out
 
 
-def panel_mmd(sets, ky, monkeypatch, rows=None):
-    """mmd_sq_matrix, with a budget of `rows`-row panels if `rows` is given.
+def panel_mmd(sets, ky, monkeypatch, rows=None, blocks=None):
+    """mmd_sq_matrix, with a budget of `rows`-row blocks if `rows` is given
+    and tall panels of `blocks` blocks if `blocks` is given.
 
-    Returns the matrix, the rows of each panel, and the `indicators`
-    argument of each hamming_gram call.
+    Returns the matrix, the rows of each block, the rows of each tall
+    panel (the dense operand of each C[:, T] @ Z[T] product), and the
+    `indicators` argument of each hamming_gram call.
     """
     v = len({tuple(s) for one in sets for s in one})
-    panels, indicators = [], []
+    panels, tall, indicators = [], [], []
     real_sequence, real_hamming = kernels.sequence_gram, kernels.hamming_gram
+    real_matmul = scipy.sparse.csc_matrix.__matmul__
 
     def sequence_spy(spec, codes_a, *args):
         panels.append(len(codes_a))
@@ -552,13 +556,22 @@ def panel_mmd(sets, ky, monkeypatch, rows=None):
         indicators.append(blocks)
         return real_hamming(codes_a, codes_b, blocks)
 
+    def matmul_spy(counts, other):
+        if isinstance(other, np.ndarray):
+            tall.append(len(other))
+        return real_matmul(counts, other)
+
+    if blocks is not None:
+        monkeypatch.setattr(kernels, "_PANEL_BLOCKS", blocks)
     if rows is not None:
-        # A panel costs 16 bytes per entry plus 8 per record and row.
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES",
-                            rows * (16 * v + 8 * len(sets)))
+        # A block costs 16 bytes per entry, and Z 8 per record and tall row.
+        monkeypatch.setattr(
+            kernels, "_CHUNK_BYTES",
+            rows * (16 * v + 8 * kernels._PANEL_BLOCKS * len(sets)))
     monkeypatch.setattr(kernels, "sequence_gram", sequence_spy)
     monkeypatch.setattr(kernels, "hamming_gram", hamming_spy)
-    return mmd_sq_matrix(sets, ky), panels, indicators
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "__matmul__", matmul_spy)
+    return mmd_sq_matrix(sets, ky), panels, tall, indicators
 
 
 @st.composite
@@ -586,9 +599,13 @@ class TestMmdMatrix:
         v = len({s for one in sets for s in one})
         assume(v >= 5 and v % 2 == 1)
         with pytest.MonkeyPatch.context() as mp:
-            got, panels, _ = panel_mmd(sets, ky, mp, rows=2)
-        # Two-row panels over an odd vocabulary end with a one-row panel.
-        assert len(panels) >= 3 and panels[-1] == 1
+            got, panels, tall, _ = panel_mmd(sets, ky, mp, rows=2, blocks=2)
+        # Two-row blocks in four-row tall panels over an odd vocabulary: at
+        # least two tall panels, two blocks in the first, and a one-row
+        # last block in a partial last tall panel.
+        assert tall[:-1] == [4] * (len(tall) - 1) and len(tall) >= 2
+        assert tall[-1] in (1, 3) and sum(tall) == v
+        assert panels[:2] == [2, 2] and panels[-1] == 1
         assert np.array_equal(got, got.T)
         assert not np.diag(got).any()
         want = brute_mmd_matrix(sets, ky)
@@ -640,16 +657,38 @@ class TestMmdMatrix:
         # Three-row panels: the blocks are too large for that budget, so
         # hamming_gram builds them group by group for every panel.
         with pytest.MonkeyPatch.context() as mp:
-            small, panels, indicators = panel_mmd(sets, ky, mp, rows=3)
+            small, panels, _, indicators = panel_mmd(sets, ky, mp, rows=3)
         assert len(panels) >= 3 and panels[-1] < 3
         assert all(blocks is None for blocks in indicators)
         # The default budget holds the blocks, built once.
         with pytest.MonkeyPatch.context() as mp:
-            default, _, indicators = panel_mmd(sets, ky, mp)
+            default, _, _, indicators = panel_mmd(sets, ky, mp)
         assert all(blocks is not None for blocks in indicators)
         for got in (small, default):
             assert np.array_equal(got, got.T)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", SEQUENCE_KINDS)
+    def test_permuting_records_permutes_tall_panels_bitwise(self, rng, kind):
+        # 40 distinct samples in 2-row blocks and the default tall panels:
+        # three tall panels, the last one partial.
+        pool = [tuple(random_tokens(rng)) + ("A",) for _ in range(200)]
+        pool = sorted(set(pool))[:40]
+        assert len(pool) == 40
+        sets = [[pool[int(i)] for i in rng.integers(0, 40, 8)]
+                for _ in range(12)]
+        sets[0] = pool  # every sample occurs
+        order = rng.permutation(len(sets))
+        ky = KernelSpec(kind, lam=0.9)
+        with pytest.MonkeyPatch.context() as mp:
+            got, _, tall, _ = panel_mmd(sets, ky, mp, rows=2)
+        assert len(tall) >= 2 and tall[-1] < tall[0] == 2 * kernels._PANEL_BLOCKS
+        with pytest.MonkeyPatch.context() as mp:
+            permuted, _, _, _ = panel_mmd([sets[i] for i in order], ky, mp,
+                                          rows=2)
+        assert np.array_equal(permuted, got[np.ix_(order, order)])
+        assert got == pytest.approx(brute_mmd_matrix(sets, ky), rel=1e-12,
+                                    abs=1e-12)
 
     def test_rejects_undersized_record(self):
         with pytest.raises(ValueError, match="at least 2"):

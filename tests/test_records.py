@@ -83,3 +83,12 @@ class TestRecords:
             model_samples=[[], ["A"]])
         assert rec.model_samples == ((), ("A",))
         assert rec.x is None
+
+    @pytest.mark.parametrize("bad,message", [
+        ("AB", "not a string"),
+        (("A", 1), "tokens must be strings"),
+    ])
+    def test_bad_model_sample_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ReliabilityRecord(y=Item(tokens=()), y_model=Item(tokens=()),
+                              model_samples=[("A", "B"), bad])
