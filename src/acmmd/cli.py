@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return 1
-    except (DataError, ValueError) as exc:
+    except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except OSError as exc:  # an --out that cannot be written: a usage error

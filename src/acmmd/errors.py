@@ -9,5 +9,5 @@ class ConfigError(AcmmdError):
     """Invalid configuration or command-line usage (CLI exit code 1)."""
 
 
-class DataError(AcmmdError):
+class DataError(AcmmdError, ValueError):
     """Malformed or incompatible input data (CLI exit code 2)."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .kernels import (DISTRIBUTION_KINDS, KernelSpec, difference_gram,
                       distribution_gram, gram)
 
@@ -55,7 +56,7 @@ def h_from_columns(kx: KernelSpec, inputs, ky: KernelSpec, y_model, y
         ValueError: fewer than 2 records, or not one input per record.
     """
     if len(y) < 2:
-        raise ValueError("need at least 2 records")
+        raise DataError("need at least 2 records")
     if len(inputs) != len(y):
         raise ValueError(f"{len(inputs)} inputs for {len(y)} records")
     # The side with the larger transient goes first, so that its peak does

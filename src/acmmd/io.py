@@ -11,10 +11,9 @@ The keys of a record are the fields of its dataclass, and a field without a
 default is required: Triplet records need `x`, `y`, and `y_model`.
 Reliability records need `y`, `y_model`, and `model_samples`, a list of at
 least 2 model samples, each `{"tokens": [...]}` and nothing else; `x` is
-optional. Either kind may carry a string `group`. Each distinct model
-sample is checked once per file: a later `{"tokens": [...]}` equal to one
-already checked is that sample's tuple, and anything else is checked with
-its own located message.
+optional. Either kind may carry a string `group`. Every model sample
+takes the same checks, with its own located message, and equal samples in
+one file share one tuple.
 """
 
 from __future__ import annotations
@@ -64,26 +63,25 @@ def item_from_json(obj, where: str) -> Item:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _sample_from_json(obj, alphabet: Alphabet | None, checked: dict,
+def _sample_from_json(obj, alphabet: Alphabet | None, shared: dict,
                       where: str, index: int) -> Tokens:
     """Token tuple of model sample `index`, which must be {"tokens": [strings]}.
 
-    `checked` maps each sample tuple seen in this file to itself, and a
-    repeat of one is that tuple. A first sighting is stored, then checked; a
-    failed check ends the load, so no unchecked tuple is ever returned.
+    `shared` maps each sample tuple of this file to itself, so that equal
+    samples, once checked, are one tuple.
     """
     if type(obj) is dict and len(obj) == 1 and type(obj.get("tokens")) is list:
         tokens = tuple(obj["tokens"])
         try:
-            stored = checked.setdefault(tokens, tokens)
-            if stored is not tokens:
-                return stored
             "".join(tokens)  # every token is a string
-        except TypeError:  # an unhashable or non-string token
+            if alphabet is not None:
+                alphabet.validate(tokens)
+        except TypeError:  # a token that is not a string
             pass
+        except ValueError as exc:
+            raise DataError(f"{where} (model_samples[{index}]): {exc}") from exc
         else:
-            _check_tokens(tokens, alphabet, f"{where} (model_samples[{index}])")
-            return tokens
+            return shared.setdefault(tokens, tokens)
     raise DataError(f"{where} (model_samples[{index}]): a model sample must be "
                     '{"tokens": [strings]} with no other field')
 
@@ -158,19 +156,10 @@ def _iter_records(path):
             yield lineno, obj, alphabet
 
 
-def _check_tokens(tokens, alphabet: Alphabet | None, where: str) -> None:
-    if alphabet is None or tokens is None:
-        return
-    try:
-        alphabet.validate(tokens)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from exc
-
-
 def _field_from_json(name: str, value, alphabet: Alphabet | None,
-                     checked: dict, where: str):
+                     shared: dict, where: str):
     """Parse record field `name`: the group label, the model samples (see
-    `_sample_from_json` for `checked`), or an item whose tokens are checked
+    `_sample_from_json` for `shared`), or an item whose tokens are checked
     against the alphabet."""
     if name == "group":
         if value is not None and not isinstance(value, str):
@@ -179,10 +168,14 @@ def _field_from_json(name: str, value, alphabet: Alphabet | None,
     if name == "model_samples":
         if not isinstance(value, list):
             raise DataError(f"{where}: model_samples must be a list")
-        return tuple(_sample_from_json(s, alphabet, checked, where, i)
+        return tuple(_sample_from_json(s, alphabet, shared, where, i)
                      for i, s in enumerate(value))
     item = item_from_json(value, f"{where} ({name})")
-    _check_tokens(item.tokens, alphabet, f"{where} ({name})")
+    try:
+        if alphabet is not None and item.tokens is not None:
+            alphabet.validate(item.tokens)
+    except ValueError as exc:
+        raise DataError(f"{where} ({name}): {exc}") from exc
     return item
 
 
@@ -196,7 +189,7 @@ def _load(path, kind):
     required = [f.name for f in fields if f.default is dataclasses.MISSING]
     records = []
     alphabet = None
-    checked: dict = {}
+    shared: dict = {}
     for lineno, obj, alphabet in _iter_records(path):
         where = f"{path}:{lineno}"
         for key in required:
@@ -205,7 +198,7 @@ def _load(path, kind):
         extra = set(obj).difference(names)
         if extra:
             raise DataError(f"{where}: unknown fields {sorted(extra)}")
-        values = {name: _field_from_json(name, obj[name], alphabet, checked,
+        values = {name: _field_from_json(name, obj[name], alphabet, shared,
                                          where)
                   for name in names if name in obj}
         try:

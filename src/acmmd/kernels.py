@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DataError
 from .records import Item
 from .sequences import Tokens, encode_sequences
 
@@ -176,7 +177,7 @@ def hamming_gram(codes_a, codes_b, indicators=None) -> np.ndarray:
     if w != w2:
         raise ValueError("encoded widths differ; encode jointly")
     if w >= 1 << 24:
-        raise ValueError("encoded width too large for exact float32 counts")
+        raise DataError("encoded width too large for exact float32 counts")
     if indicators is None:
         codes = np.unique(codes_a)
         indicators = zip(_indicators(codes_a, codes), _indicators(codes_b, codes))
@@ -220,7 +221,7 @@ def sequence_gram(spec: KernelSpec, codes_a, lengths_a, codes_b, lengths_b,
         raise ValueError(f"not a sequence kernel: {spec.kind}")
     tilted = spec.kind == "tilted-exp-hamming"
     if tilted and (np.any(lengths_a == 0) or np.any(lengths_b == 0)):
-        raise ValueError("tilted-exp-hamming is invalid for empty sequences")
+        raise DataError("tilted-exp-hamming is invalid for empty sequences")
     lut = np.exp(-spec.lam * np.arange(codes_a.shape[1] + 1, dtype=np.float64))
     values = lut[hamming_gram(codes_a, codes_b, indicators)]
     if tilted:
@@ -234,7 +235,7 @@ def gaussian_gram(vectors_a: np.ndarray, vectors_b: np.ndarray,
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if vectors_a.shape[1] != vectors_b.shape[1]:
-        raise ValueError("embedding dimension mismatch")
+        raise DataError("embedding dimension mismatch")
     sq = _squared_distances(vectors_a, vectors_b)
     sq /= -2.0 * sigma * sigma
     return np.exp(sq, out=sq)
@@ -267,7 +268,7 @@ def mean_pool(per_position) -> np.ndarray:
     """Column-wise mean of an (L, d) per-position embedding matrix."""
     arr = np.asarray(per_position, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError("mean_pool needs a nonempty 2-d matrix")
+        raise DataError("mean_pool needs a nonempty 2-d matrix")
     return arr.mean(axis=0)
 
 
@@ -275,7 +276,7 @@ def _tokens_of(obj) -> Tokens:
     """Token tuple of an Item or a raw sequence of tokens."""
     if isinstance(obj, Item):
         if obj.tokens is None:
-            raise ValueError("item has no token representation")
+            raise DataError("item has no token representation")
         return obj.tokens
     return tuple(obj)
 
@@ -284,13 +285,13 @@ def _vector_of(item, kind: str) -> np.ndarray:
     if isinstance(item, Item):
         if kind == "mean-gaussian":
             if item.per_position is None:
-                raise ValueError("mean-gaussian needs a per_position matrix")
+                raise DataError("mean-gaussian needs a per_position matrix")
             return mean_pool(item.per_position)
         if item.embedding is not None:
             return item.embedding
         if item.scalar is not None:
             return np.array([item.scalar], dtype=np.float64)
-        raise ValueError("item has no vector representation")
+        raise DataError("item has no vector representation")
     arr = np.atleast_1d(np.asarray(item, dtype=np.float64))
     if kind == "mean-gaussian" and arr.ndim == 2:
         return mean_pool(arr)
@@ -307,7 +308,7 @@ def _vectors_of(items, kind: str) -> np.ndarray:
     vectors = [_vector_of(it, kind) for it in items]
     dims = {v.shape[0] for v in vectors}
     if len(dims) > 1:
-        raise ValueError(f"embedding dimension mismatch: {sorted(dims)}")
+        raise DataError(f"embedding dimension mismatch: {sorted(dims)}")
     return np.stack(vectors)
 
 
@@ -512,7 +513,7 @@ def distribution_gram(spec: KernelSpec, sample_sets
     with np.errstate(over="ignore"):
         values = np.exp(-mmd / (2.0 * spec.sigma_resolved ** 2))
     if not np.all(np.isfinite(values)):
-        raise ValueError(
+        raise DataError(
             f"khat overflows: sigma_p={spec.sigma_resolved!r} is too small "
             f"for the smallest MMD^2 estimate, {float(mmd.min())!r}")
     return values, spec

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 Tokens = tuple[str, ...]
 
@@ -35,14 +37,14 @@ class Alphabet:
         """Symbols that may appear inside a sequence (terminal excluded)."""
         return tuple(s for s in self.symbols if s != self.terminal)
 
-    def validate(self, tokens: Iterable[str]) -> None:
+    def validate(self, tokens: Sequence[str]) -> None:
         """Raise ValueError at the first token that is the terminal or foreign."""
-        allowed = self._allowed
-        for tok in tokens:
-            if tok not in allowed:
-                if tok == self.terminal:
-                    raise ValueError(f"terminal symbol {tok!r} inside a sequence")
-                raise ValueError(f"token {tok!r} not in alphabet")
+        if self._allowed.issuperset(tokens):
+            return
+        tok = next(t for t in tokens if t not in self._allowed)
+        if tok == self.terminal:
+            raise ValueError(f"terminal symbol {tok!r} inside a sequence")
+        raise ValueError(f"token {tok!r} not in alphabet")
 
 
 def encode_sequences(seqs: Sequence[Tokens]) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +66,7 @@ def encode_sequences(seqs: Sequence[Tokens]) -> tuple[np.ndarray, np.ndarray]:
     seqs = [tuple(s) for s in seqs]
     symbols = tuple(sorted({tok for s in seqs for tok in s}))
     if len(symbols) >= np.iinfo(np.uint16).max:
-        raise ValueError("alphabet too large to encode")
+        raise DataError("alphabet too large to encode")
     code_of = {tok: i for i, tok in enumerate(symbols)}
     pad = len(symbols)
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)

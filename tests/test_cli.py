@@ -317,6 +317,42 @@ class TestExitCodes:
         assert err.startswith("internal error: Traceback")
         assert "RuntimeError: broken on purpose" in err
 
+    @pytest.mark.parametrize("target,command", [
+        ("acmmd.cli.h_matrix", "estimate"),
+        ("acmmd.cli.acmmd_test", "test"),
+    ])
+    def test_bare_value_error_is_internal_error(self, toy_data, capsys,
+                                                monkeypatch, target, command):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not bad data")
+
+        monkeypatch.setattr(target, broken)
+        code, _, err = run(capsys, command, "--input", str(toy_data))
+        assert code == 3
+        assert err.startswith("internal error: Traceback")
+        assert "ValueError: a bug, not bad data" in err
+
+    @pytest.mark.parametrize("lines,option,message", [
+        (['{"x": {"scalar": 1}, "y": {"tokens": ["A"]}, '
+          '"y_model": {"tokens": []}}'], [], "need at least 2 records"),
+        (['{"x": {"scalar": 1}, "y": {"tokens": ["A"]}, '
+          '"y_model": {"tokens": []}}'] * 2,
+         ["--kernel-y", "tilted-exp-hamming"],
+         "tilted-exp-hamming is invalid for empty sequences"),
+        (['{"x": {"embedding": [1, 2]}, "y": {"tokens": []}, '
+          '"y_model": {"tokens": []}}',
+          '{"x": {"embedding": [1]}, "y": {"tokens": []}, '
+          '"y_model": {"tokens": []}}'], [],
+         "embedding dimension mismatch: [1, 2]"),
+    ], ids=["one-record", "tilted-empty", "embedding-dims"])
+    def test_data_condition_is_data_error(self, tmp_path, capsys, lines,
+                                          option, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "estimate", "--input", str(path), *option)
+        assert code == 2
+        assert err.strip() == f"data error: {message}"
+
 
 # Runs commands in one fresh interpreter and prints, after each, the scipy
 # modules loaded so far.

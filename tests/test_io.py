@@ -273,9 +273,55 @@ class TestReliabilityIo:
             load_reliability_records(path)
 
 
+class TestDistinctSamples:
+    """Protein-like files, whose model samples rarely repeat, take the same
+    checks as any other."""
+
+    AMINO = tuple("ACDEFGHIKLMNPQRSTVWY")
+
+    def records(self, n=12, samples=8):
+        rng = np.random.default_rng(7)
+
+        def seq():
+            return tuple("".join(rng.choice(self.AMINO, rng.integers(20, 60))))
+
+        return [ReliabilityRecord(y=Item(tokens=seq()), y_model=Item(tokens=seq()),
+                                  model_samples=[seq() for _ in range(samples)])
+                for _ in range(n)]
+
+    def test_all_distinct_samples_load_equal(self, tmp_path):
+        records = self.records()
+        samples = [s for r in records for s in r.model_samples]
+        assert len(set(samples)) == len(samples)
+        path = tmp_path / "rel.jsonl"
+        write_reliability_records(path, records, Alphabet(self.AMINO))
+        loaded, alphabet = load_reliability_records(path)
+        assert loaded == records
+        assert alphabet == Alphabet(self.AMINO)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("B", "token 'B' not in alphabet"),
+        ("STOP", "terminal symbol 'STOP' inside a sequence"),
+    ])
+    def test_bad_token_in_last_sample_is_located(self, tmp_path, bad, message):
+        records = self.records()
+        path = tmp_path / "rel.jsonl"
+        write_reliability_records(path, records,
+                                  Alphabet(self.AMINO + ("STOP",), "STOP"))
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[-1])
+        obj["model_samples"][-1]["tokens"][-1] = bad
+        lines[-1] = json.dumps(obj, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_reliability_records(path)
+        assert str(err.value) == (
+            f"{path}:{len(lines)} (model_samples[7]): {message}")
+
+
 class TestRepeatedSamples:
-    """Each distinct model sample is checked once per file; repeats share
-    its tuple and every bad sample keeps its located message."""
+    """Every model sample takes the same checks; equal samples share one
+    tuple and every bad sample keeps its located message."""
 
     GOOD = {"tokens": ["A", "B"]}
     SHAPE = ' (model_samples[2]): a model sample must be {"tokens": [strings]} ' \

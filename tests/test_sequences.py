@@ -39,6 +39,23 @@ class TestAlphabet:
     def test_validate_accepts_empty(self):
         Alphabet(("A",)).validate(())
 
+    @given(st.lists(st.sampled_from(("A", "B", "STOP", "C", "", "a")),
+                    max_size=12),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_raises_at_first_token_outside(self, tokens, terminal):
+        ab = Alphabet(("A", "B", "STOP"), terminal="STOP" if terminal else None)
+        bad = [t for t in tokens if t not in ab.sequence_symbols]
+        if not bad:
+            ab.validate(tuple(tokens))
+            return
+        with pytest.raises(ValueError) as err:
+            ab.validate(tuple(tokens))
+        expected = (f"terminal symbol {bad[0]!r} inside a sequence"
+                    if bad[0] == ab.terminal else
+                    f"token {bad[0]!r} not in alphabet")
+        assert str(err.value) == expected
+
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Alphabet(("A", "A"))
